@@ -1,10 +1,9 @@
 """Exact computer algebra for Kravchuk polynomials and their derivations."""
 
-from . import arith, cli, derivations, identities, intertwine, kravchuk, poly, series
+from . import arith, derivations, identities, intertwine, kravchuk, poly, series
 
 __all__ = [
     "arith",
-    "cli",
     "derivations",
     "identities",
     "intertwine",

@@ -113,34 +113,31 @@ def is_in_kernel(D: Derivation, p: Polynomial) -> bool:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Coefficients of x_0..x_{n-k} in D^k(x_n), plus the calibration
-    constant relating the printed closed-form coefficients to the true
-    powers (1 where the closed form needs no correction)."""
+    """Coefficients of x_0..x_{n-k} in D^k(x_n), plus the constant relating
+    them to the printed closed-form coefficients (2^-k for the first
+    Kravchuk derivation, 1 for the second)."""
 
     coeffs: tuple
     scale: Fraction
 
 
-@lru_cache(maxsize=None)
-def _dk1_calibration(k: int) -> Fraction:
-    """Constant c with D_K1^k(x_k) = c * S^(k)(k) * x_0."""
-    D = kravchuk1(k if k > 1 else 1)
-    oracle = power_apply(D, Polynomial.var(xvar(k)), k)
-    observed = oracle.coeff(((xvar(0), 1),))
-    return observed / arith.s_upper(k, k)
+def dk1_power_coeff(k: int, m: int) -> Fraction:
+    """S^(k)(m)/2^k, the coefficient of z^m in the k-th power of the first
+    Kravchuk derivation's coefficient series (1/2)ln((1+z)/(1-z)); the
+    0-th power is 1 at m = 0, and every coefficient with m < k is 0."""
+    if k == 0:
+        return Fraction(1) if m == 0 else Fraction(0)
+    if m < k:
+        return Fraction(0)
+    return arith.s_upper(k, m) / 2**k
 
 
 def dk1_power_closed(n: int, k: int) -> ClosedForm:
-    """D_K1^k(x_n) = scale * sum_i x_i S^(k)(n-i); scale calibrated once
-    at (n, k) = (k, k) against iterated application."""
+    """D_K1^k(x_n) = 2^-k sum_i x_i S^(k)(n-i)."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    scale = _dk1_calibration(k)
-    coeffs = tuple(
-        scale * (arith.s_upper(k, n - i) if n - i >= k else Fraction(0))
-        for i in range(n - k + 1)
-    )
-    return ClosedForm(coeffs, scale)
+    coeffs = tuple(dk1_power_coeff(k, n - i) for i in range(n - k + 1))
+    return ClosedForm(coeffs, Fraction(1, 2**k))
 
 
 def dk2_power_closed(n: int, k: int) -> ClosedForm:

@@ -3,21 +3,27 @@
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import A, X, Polynomial, binom_poly
+from .poly import A, X, Polynomial
 
 
 @lru_cache(maxsize=None)
 def kravchuk(n: int) -> Polynomial:
-    """K_n(x,a) = sum_{i=0}^n (-1)^i C(x,i) C(a-x, n-i), expanded."""
+    """K_n(x,a) from the three-term recurrence
+    (m+1) K_{m+1} = (a - 2x) K_m - (a - m + 1) K_{m-1},  K_0 = 1, K_1 = a - 2x.
+    """
     if n < 0:
         raise ValueError(f"kravchuk: n must be >= 0, got {n}")
-    x = Polynomial.var(X)
-    a_minus_x = Polynomial.var(A) - x
-    total = Polynomial.zero()
-    for i in range(n + 1):
-        term = binom_poly(x, i) * binom_poly(a_minus_x, n - i)
-        total = total + term if i % 2 == 0 else total - term
-    return total
+    if n == 0:
+        return Polynomial.one()
+    a = Polynomial.var(A)
+    k1 = a - 2 * Polynomial.var(X)
+    if n == 1:
+        return k1
+    # Fill the cache from the bottom, so that a cold K_n never recurses
+    # more than one call deep.
+    for m in range(2, n - 1):
+        kravchuk(m)
+    return (k1 * kravchuk(n - 1) - (a - (n - 2)) * kravchuk(n - 2)) / n
 
 
 def dKdx_expansion(n: int) -> Polynomial:

@@ -402,53 +402,34 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
     return quotient
 
 
-def _det_cofactor(rows) -> Polynomial:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = Polynomial.zero()
-    for i in range(n):
-        entry = rows[i][0]
-        if entry.is_zero:
-            continue
-        minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        cof = entry * _det_cofactor(minor)
-        total = total + cof if i % 2 == 0 else total - cof
-    return total
-
-
 def determinant(matrix) -> Polynomial:
     """Exact determinant of a square matrix of polynomials.
 
-    Cofactor expansion for size <= 4, fraction-free Bareiss elimination
-    (with exact polynomial division) above that.
+    Laplace expansion down the columns.  The minor on a given set of
+    remaining rows is computed once, so an n x n matrix takes at most
+    n 2^(n-1) entry products instead of n!.
     """
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise ValueError("determinant: matrix must be square and non-empty")
     rows = [[_coerce(e) for e in row] for row in matrix]
-    if n <= 4:
-        return _det_cofactor(rows)
-    sign = 1
-    denom = Polynomial.one()
-    for k in range(n - 1):
-        if rows[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not rows[i][k].is_zero:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial.zero()
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = rows[i][j] * pivot - rows[i][k] * rows[k][j]
-                rows[i][j] = exact_div(num, denom)
-            rows[i][k] = Polynomial.zero()
-        denom = pivot
-    det = rows[n - 1][n - 1]
-    return det if sign == 1 else -det
+    minors = {(): Polynomial.one()}
+
+    def minor(remaining: tuple) -> Polynomial:
+        """Determinant of the remaining rows on the last len(remaining) columns."""
+        if remaining not in minors:
+            col = n - len(remaining)
+            total = Polynomial.zero()
+            for pos, i in enumerate(remaining):
+                entry = rows[i][col]
+                if entry.is_zero:
+                    continue
+                cof = entry * minor(remaining[:pos] + remaining[pos + 1 :])
+                total = total + cof if pos % 2 == 0 else total - cof
+            minors[remaining] = total
+        return minors[remaining]
+
+    return minor(tuple(range(n)))
 
 
 # -- localization at a single pivot variable ---------------------------
@@ -475,10 +456,6 @@ class LocalizedPolynomial:
         self.numerator = numerator
         self.pivot = pivot
         self.pivot_power = pivot_power
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial, pivot: int) -> "LocalizedPolynomial":
-        return cls(p, pivot, 0)
 
     @property
     def is_zero(self) -> bool:

@@ -1,15 +1,23 @@
 import json
+import os
 import random
+import shlex
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import kravchuk_identities
 from kravchuk_identities.cli import ParseError, parse_expr, render, run
 from kravchuk_identities.poly import A, X, Polynomial, render_text, xvar
 
 x0, x1, x2 = (Polynomial.var(xvar(i)) for i in range(3))
 a = Polynomial.var(A)
 x = Polynomial.var(X)
+
+TESTS = Path(__file__).resolve().parent
 
 
 def test_parse_basic():
@@ -153,3 +161,48 @@ def test_cli_derive(capsys):
 def test_cli_usage_error():
     assert run(["nonsense"]) == 2
     assert run([]) == 2
+
+
+def _readme_examples():
+    """argv of every `kravchuk ...` line in the README's CLI block."""
+    with open(TESTS.parent / "README.md") as fh:
+        return [
+            shlex.split(line, comments=True)[1:]
+            for line in fh
+            if line.startswith("kravchuk ")
+        ]
+
+
+def test_readme_examples_match_golden(capsys, tmp_path):
+    # Every README example must reproduce its recorded stdout and exit code
+    # byte for byte; runtime_ms is the only field allowed to vary.
+    golden = json.loads((TESTS / "readme_cli_golden.json").read_text())
+    examples = _readme_examples()
+    assert examples == [g["argv"] for g in golden]
+    for g in golden:
+        argv = list(g["argv"])
+        if "--out" in argv:
+            out = tmp_path / "out.json"
+            argv[argv.index("--out") + 1] = str(out)
+        assert run(argv) == g["exit"], argv
+        assert capsys.readouterr().out == g["stdout"], argv
+        if "out_records" in g:
+            records = json.loads(out.read_text())
+            for record in records:
+                del record["runtime_ms"]
+            assert records == g["out_records"]
+
+
+def test_module_entry_point_writes_no_warning():
+    src = Path(kravchuk_identities.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kravchuk_identities.cli", "poly", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "1/2*a^2 - 2*x*a + 2*x^2 - 1/2*a\n"
+    assert proc.stderr == ""

@@ -21,6 +21,7 @@ from kravchuk_identities.derivations import (
 from kravchuk_identities.poly import LocalizedPolynomial, Polynomial, xvar
 
 from conftest import polynomials
+from oracles import dk1_scale_by_iteration
 
 x0, x1, x2, x3, x4, x5 = (Polynomial.var(xvar(i)) for i in range(6))
 
@@ -80,8 +81,7 @@ def test_closed_forms_match_power_apply():
                 Polynomial.zero(),
             )
             assert rebuilt1 == it1
-            # calibration constant is the same for every n at fixed k
-            assert cf1.scale == Fraction(1, 2**k)
+            assert cf1.scale == Fraction(1, 2**k) == dk1_scale_by_iteration(k)
 
             it2 = power_apply(dk2, xn, k)
             cf2 = dk2_power_closed(n, k)

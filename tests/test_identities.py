@@ -121,7 +121,7 @@ def test_conjecture1_even_cases():
         rep = conjecture1(n)
         assert rep.verdict == REFUTED
         assert rep.ratio == Fraction(1, factorial(n))
-        assert rep.notes["ratio_to_cayley_image"] == 1
+        assert rep.image == phi_k(cayley_k1(n)) / (n * factorial(n - 2))
 
 
 def test_conjecture2_verifies():

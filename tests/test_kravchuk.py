@@ -1,7 +1,11 @@
+import sys
 from fractions import Fraction
+from math import factorial
 
 from kravchuk_identities.kravchuk import dKda_expansion, dKdx_expansion, kravchuk
 from kravchuk_identities.poly import A, Polynomial, X, binom_poly, xvar
+
+from oracles import kravchuk_binomial_sum
 
 x = Polynomial.var(X)
 a = Polynomial.var(A)
@@ -44,9 +48,30 @@ def test_boundary_evaluations():
 
 
 def test_leading_coefficient_in_x():
-    from math import factorial
-
     for n in range(13):
         assert kravchuk(n).coeff(((X, n),) if n else ()) == Fraction(
             (-2) ** n, factorial(n)
         )
+
+
+def test_recurrence_matches_binomial_sum():
+    for n in range(17):
+        assert kravchuk(n) == kravchuk_binomial_sum(n)
+
+
+def test_cold_build_recursion_depth_is_bounded():
+    # A cold K_n must fill its cache from the bottom instead of recursing
+    # n calls deep: allow only ~20 frames above the caller's depth.
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    kravchuk.cache_clear()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        k = kravchuk(40)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert k.coeff(((X, 40),)) == Fraction(2**40, factorial(40))

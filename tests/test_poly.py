@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kravchuk_identities.poly import (
     A,
@@ -16,6 +17,7 @@ from kravchuk_identities.poly import (
 )
 
 from conftest import polynomials
+from oracles import determinant_bareiss
 
 x0, x1, x2, x3 = (Polynomial.var(xvar(i)) for i in range(4))
 x = Polynomial.var(X)
@@ -124,24 +126,32 @@ def test_diff_leibniz(p, q):
 
 @given(polynomials(max_var=3, max_exp=2, max_terms=2))
 @settings(max_examples=20, deadline=None)
-def test_determinant_matches_cofactor_3x3(p):
-    # Bareiss (forced via the internal helper) against cofactor expansion
-    from kravchuk_identities.poly import _det_cofactor
-
+def test_determinant_matches_bareiss_3x3(p):
     entries = [
         [p + i + j if (i + j) % 2 == 0 else p * (i + 1) - j for j in range(3)]
         for i in range(3)
     ]
-    det = determinant(entries)
-    assert det == _det_cofactor(entries)
+    assert determinant(entries) == determinant_bareiss(entries)
 
 
-def test_determinant_bareiss_agrees_with_cofactor_5x5():
-    from kravchuk_identities.poly import _det_cofactor
-    from kravchuk_identities.identities import discriminant_matrix
+@given(
+    st.lists(
+        polynomials(max_var=2, max_exp=2, max_terms=2), min_size=16, max_size=16
+    )
+)
+@settings(max_examples=20, deadline=None)
+def test_determinant_matches_bareiss_4x4(entries):
+    matrix = [entries[4 * i : 4 * i + 4] for i in range(4)]
+    assert determinant(matrix) == determinant_bareiss(matrix)
 
+
+def test_determinant_matches_bareiss_hankel_and_discriminant():
+    from kravchuk_identities.identities import discriminant_matrix, hankel
+
+    for n in range(1, 5):
+        assert determinant(hankel(n)) == determinant_bareiss(hankel(n))
     m = discriminant_matrix()
-    assert determinant(m) == _det_cofactor(m)
+    assert determinant(m) == determinant_bareiss(m)
 
 
 def test_localized_normalization_idempotent():
