@@ -8,8 +8,9 @@ Grammar:
     var      := 'x' digits | 'x' | 'a'
     rational := digits ('/' digits)?
 
-Implicit multiplication is not allowed. Exit codes: 0 all verified,
-1 any refuted, 2 usage or parse error.
+Implicit multiplication is not allowed, and '(' and unary '-' nest at
+most MAX_NESTING deep. Exit codes: 0 all verified, 1 any refuted, 2 usage
+or parse error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from . import derivations, identities, intertwine, kravchuk
 from .poly import A, X, Polynomial, render_latex, render_text, to_json_terms, xvar
 
 MAX_EXPONENT = 4096
+# '(' and unary '-' open at once; each level costs the recursive-descent
+# parser a few stack frames, so an unbounded depth would end in RecursionError.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -98,6 +102,7 @@ class _Tokenizer:
 class _Parser:
     def __init__(self, text: str):
         self.toks = _Tokenizer(text)
+        self.depth = 0
 
     def parse(self) -> Polynomial:
         p = self._expr()
@@ -155,15 +160,20 @@ class _Parser:
             if value == "a":
                 return Polynomial.var(A)
             return Polynomial.var(xvar(int(value[1:])))
+        if kind not in ("(", "-"):
+            raise ParseError(f"unexpected token {value!r}", line, col)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", line, col)
         if kind == "(":
             p = self._expr()
             ckind, cvalue, cline, ccol = self.toks.next()
             if ckind != ")":
                 raise ParseError("expected ')'", cline, ccol)
-            return p
-        if kind == "-":
-            return -self._factor()
-        raise ParseError(f"unexpected token {value!r}", line, col)
+        else:
+            p = -self._factor()
+        self.depth -= 1
+        return p
 
 
 def parse_expr(text: str) -> Polynomial:
@@ -355,13 +365,16 @@ def _dispatch(args) -> int:
 
 
 def _run_conjecture(which: int, max_n):
+    first = 1 if which == 3 else 2
+    if max_n is None:
+        max_n = 4 if which == 3 else 10
+    if max_n < first:
+        # An empty sweep would report "all verified" about nothing.
+        raise ValueError(f"conjecture {which} needs --max-n >= {first}, got {max_n}")
     if which == 1:
-        max_n = 10 if max_n is None else max_n
         return [identities.conjecture1(n) for n in range(2, max_n + 1)]
     if which == 2:
-        max_n = 10 if max_n is None else max_n
         return [identities.conjecture2(n) for n in range(2, max_n + 1)]
-    max_n = 4 if max_n is None else max_n
     reports = []
     for n in range(1, max_n + 1):
         reports.extend(identities.conjecture3(n))

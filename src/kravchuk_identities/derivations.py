@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import factorial, gcd
 
 from . import arith
-from .poly import LocalizedPolynomial, Polynomial, var_name, xvar
+from .poly import Polynomial, mono_div, var_name, xvar
 
 
 @dataclass(frozen=True)
@@ -152,61 +152,47 @@ def dk2_power_closed(n: int, k: int) -> ClosedForm:
 
 
 @dataclass(frozen=True)
-class Slice:
-    """h with D(h) != 0, D^2(h) = 0, and lambda = -h/D(h), D(lambda) = -1."""
+class Sigma:
+    """sigma(x_i) = numerator / x0^power; when power > 0, x0 does not
+    divide the numerator."""
 
-    h: Polynomial
-    lam: LocalizedPolynomial
+    numerator: Polynomial
+    power: int
 
-
-def make_slice(D: Derivation, h: Polynomial = None) -> Slice:
-    """Slice from h (default x_1, giving lambda = -x_1/x_0)."""
-    if h is None:
-        h = Polynomial.var(xvar(1))
-    dh = apply(D, h)
-    if dh.is_zero:
-        raise ValueError("invalid slice: D(h) = 0")
-    if not apply(D, dh).is_zero:
-        raise ValueError("invalid slice: D^2(h) != 0")
-    # D(h) must be c * x0^m so that lambda lives in the ring localized at x0.
-    terms = list(dh.terms())
-    if len(terms) != 1:
-        raise ValueError("slice denominator is not a monomial in the pivot")
-    mono, c = terms[0]
-    pivot = xvar(0)
-    if mono and (len(mono) > 1 or mono[0][0] != pivot):
-        raise ValueError("slice denominator is not a power of x0")
-    power = mono[0][1] if mono else 0
-    lam = LocalizedPolynomial(-h / c, pivot, power)
-    return Slice(h, lam)
+    def __repr__(self):
+        if self.power == 0:
+            return f"({self.numerator})"
+        return f"({self.numerator}) / x0^{self.power}"
 
 
-def apply_localized(D: Derivation, L: LocalizedPolynomial) -> LocalizedPolynomial:
-    """Extension of D to the ring localized at the pivot; requires the pivot
-    to be a kernel generator (quotient rule collapses)."""
-    if not D.images[L.pivot].is_zero:
-        raise ValueError("pivot must be in the kernel of D")
-    return LocalizedPolynomial(apply(D, L.numerator), L.pivot, L.pivot_power)
-
-
-def dixmier_sigma(D: Derivation, i: int, slc: Slice = None) -> LocalizedPolynomial:
-    """sigma(x_i) = sum_k D^k(x_i) lambda^k / k!, a kernel element of the
-    localized ring."""
-    if slc is None:
-        slc = make_slice(D)
-    if apply_localized(D, slc.lam) != Polynomial.constant(-1):
-        raise ValueError("invalid slice: D(lambda) != -1")
-    pivot = slc.lam.pivot
-    total = LocalizedPolynomial(Polynomial.zero(), pivot, 0)
-    term_poly = Polynomial.var(xvar(i))
-    lam_pow = LocalizedPolynomial(Polynomial.one(), pivot, 0)
-    k = 0
-    while not term_poly.is_zero:
-        total = total + lam_pow * (term_poly / factorial(k))
-        term_poly = apply(D, term_poly)
-        lam_pow = lam_pow * slc.lam
-        k += 1
-    return total
+def dixmier_sigma(D: Derivation, i: int) -> Sigma:
+    """sigma(x_i) = sum_k D^k(x_i) lambda^k / k! on the slice
+    lambda = -x1/(c x0), where D(x1) = c x0; a kernel element of the ring
+    localized at x0."""
+    x0 = Polynomial.var(xvar(0))
+    dx1 = apply(D, Polynomial.var(xvar(1)))
+    c = dx1.coeff(((xvar(0), 1),))
+    if not c or dx1 != x0 * c or not D.images[0].is_zero:
+        raise ValueError(f"sigma needs D(x0) = 0 and D(x1) = c*x0, c != 0 ({D.name})")
+    iterates = []
+    dk = Polynomial.var(xvar(i))
+    while not dk.is_zero:
+        iterates.append(dk)
+        dk = apply(D, dk)
+    # Every term over the common denominator x0^top; the x0 factors that the
+    # whole numerator shares with it cancel once, at the end.
+    top = len(iterates) - 1
+    h = Polynomial.var(xvar(1)) / -c
+    numerator = Polynomial.zero()
+    for k, dk in enumerate(iterates):
+        numerator = numerator + dk * h**k * x0 ** (top - k) / factorial(k)
+    shared = min((dict(m).get(xvar(0), 0) for m, _ in numerator.terms()), default=top)
+    shared = min(shared, top)
+    if shared:
+        numerator = Polynomial(
+            {mono_div(m, ((xvar(0), shared),)): coeff for m, coeff in numerator.terms()}
+        )
+    return Sigma(numerator, top - shared)
 
 
 def cayley_k1(n: int) -> Polynomial:
@@ -215,9 +201,9 @@ def cayley_k1(n: int) -> Polynomial:
         raise ValueError(f"cayley_k1: n must be >= 2, got {n}")
     D = kravchuk1(n)
     sigma = dixmier_sigma(D, n)
-    if sigma.pivot_power > n - 1:
+    if sigma.power > n - 1:
         raise ValueError("sigma denominator exceeds x0^(n-1)")
-    cleared = sigma.numerator * Polynomial.var(xvar(0)) ** (n - 1 - sigma.pivot_power)
+    cleared = sigma.numerator * Polynomial.var(xvar(0)) ** (n - 1 - sigma.power)
     return cleared * (n * factorial(n - 2))
 
 
@@ -236,7 +222,7 @@ def cayley_k2(n: int) -> CayleyK2:
         raise ValueError(f"cayley_k2: n must be >= 2, got {n}")
     D = kravchuk2(n)
     sigma = dixmier_sigma(D, n)
-    num, power = sigma.numerator, sigma.pivot_power
+    num, power = sigma.numerator, sigma.power
     coeffs = [c for _, c in num.terms()]
     content = Fraction(
         gcd(*(c.numerator for c in coeffs)),

@@ -9,7 +9,7 @@ plus a constant ratio whenever the two sides are proportional.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -42,15 +42,14 @@ REFUTED = "Refuted"
 class IdentityReport:
     check_id: str
     n: int | None
-    input: Polynomial | None
     image: Polynomial
     classification: str
     residual: Polynomial
     verdict: str | None
-    expected: Polynomial | None = None
-    ratio: Fraction | None = None
-    runtime_ms: float = 0.0
-    notes: dict = field(default_factory=dict)
+    expected: Polynomial | None
+    ratio: Fraction | None
+    runtime_ms: float
+    notes: dict
 
     def to_record(self) -> dict:
         return {
@@ -101,6 +100,36 @@ def proportional(lhs: Polynomial, rhs: Polynomial) -> Fraction | None:
     return c if lhs == rhs * c else None
 
 
+def _report(
+    check_id: str,
+    n: int | None,
+    image: Polynomial,
+    expected: Polynomial | None,
+    start: float,
+    notes: dict = None,
+) -> IdentityReport:
+    """The report comparing image with expected, timed from start (a
+    time.perf_counter() value); with no expected side there is no verdict."""
+    if expected is None:
+        verdict, residual, ratio = None, image, None
+    else:
+        verdict = VERIFIED if image == expected else REFUTED
+        residual = image - expected
+        ratio = proportional(image, expected)
+    return IdentityReport(
+        check_id=check_id,
+        n=n,
+        image=image,
+        classification=_classification(image),
+        residual=residual,
+        verdict=verdict,
+        expected=expected,
+        ratio=ratio,
+        runtime_ms=(time.perf_counter() - start) * 1000,
+        notes=notes or {},
+    )
+
+
 def classify(
     p: Polynomial,
     N: int = None,
@@ -109,28 +138,7 @@ def classify(
     n: int = None,
 ) -> IdentityReport:
     start = time.perf_counter()
-    image = phi_k(p, N)
-    cls = _classification(image)
-    if expected is not None:
-        verdict = VERIFIED if image == expected else REFUTED
-        residual = image - expected
-        ratio = proportional(image, expected)
-    else:
-        verdict = None
-        residual = image
-        ratio = None
-    return IdentityReport(
-        check_id=check_id,
-        n=n,
-        input=p,
-        image=image,
-        classification=cls,
-        residual=residual,
-        verdict=verdict,
-        expected=expected,
-        ratio=ratio,
-        runtime_ms=(time.perf_counter() - start) * 1000,
-    )
+    return _report(check_id, n, phi_k(p, N), expected, start)
 
 
 # -- conjectures 1 and 2 ------------------------------------------------
@@ -164,18 +172,7 @@ def conjecture1(n: int) -> IdentityReport:
         rhs = Polynomial.constant((-1) ** m * arith.double_factorial(2 * m - 1))
         for j in range(m):
             rhs = rhs * (a - 2 * j)
-    return IdentityReport(
-        check_id="conjecture1",
-        n=n,
-        input=None,
-        image=lhs,
-        classification=_classification(lhs),
-        residual=lhs - rhs,
-        verdict=VERIFIED if lhs == rhs else REFUTED,
-        expected=rhs,
-        ratio=proportional(lhs, rhs),
-        runtime_ms=(time.perf_counter() - start) * 1000,
-    )
+    return _report("conjecture1", n, lhs, rhs, start)
 
 
 def conjecture2(n: int) -> IdentityReport:
@@ -199,18 +196,7 @@ def conjecture2(n: int) -> IdentityReport:
     else:
         m = n // 2
         rhs = binom_poly(Polynomial.var(X), m) * (-1) ** m
-    return IdentityReport(
-        check_id="conjecture2",
-        n=n,
-        input=None,
-        image=lhs,
-        classification=_classification(lhs),
-        residual=lhs - rhs,
-        verdict=VERIFIED if lhs == rhs else REFUTED,
-        expected=rhs,
-        ratio=proportional(lhs, rhs),
-        runtime_ms=(time.perf_counter() - start) * 1000,
-    )
+    return _report("conjecture2", n, lhs, rhs, start)
 
 
 # -- Weitzenbock kernel elements and conjecture 3 -----------------------
@@ -282,20 +268,17 @@ def discriminant_identity() -> IdentityReport:
     kernel_ok = is_in_kernel(kravchuk1(3), transported)
     image = phi_k(transported)
     expected = Polynomial.var(A) ** 3 * 108
-    verdict = VERIFIED if (disc_ok and kernel_ok and image == expected) else REFUTED
-    return IdentityReport(
-        check_id="discriminant",
-        n=None,
-        input=disc,
-        image=image,
-        classification=_classification(image),
-        residual=image - expected,
-        verdict=verdict,
-        expected=expected,
-        ratio=proportional(image, expected),
-        runtime_ms=(time.perf_counter() - start) * 1000,
+    report = _report(
+        "discriminant",
+        None,
+        image,
+        expected,
+        start,
         notes={"discriminant_matches": disc_ok, "in_kernel_k1": kernel_ok},
     )
+    if not (disc_ok and kernel_ok):
+        report.verdict = REFUTED
+    return report
 
 
 def _c3_rhs_part1(n: int, shifted: bool = False) -> Polynomial:
@@ -334,39 +317,17 @@ def conjecture3(n: int) -> tuple:
     """
     if n < 1:
         raise ValueError(f"conjecture3: n must be >= 1, got {n}")
+    # The determinant is shared by both parts; each part's runtime counts it.
     start = time.perf_counter()
     det_h = determinant(hankel(n))
-
-    lhs1 = phi_k(apply_psi(psi_ak1(2 * n), det_h))
-    rhs1 = _c3_rhs_part1(n)
-    report1 = IdentityReport(
-        check_id="conjecture3i",
-        n=n,
-        input=det_h,
-        image=lhs1,
-        classification=_classification(lhs1),
-        residual=lhs1 - rhs1,
-        verdict=VERIFIED if lhs1 == rhs1 else REFUTED,
-        expected=rhs1,
-        ratio=proportional(lhs1, rhs1),
-        runtime_ms=(time.perf_counter() - start) * 1000,
-        notes={"shifted_products_match": lhs1 == _c3_rhs_part1(n, shifted=True)},
-    )
-
-    start2 = time.perf_counter()
-    lhs2 = phi_k(apply_psi(psi_ak2(2 * n), det_h))
-    rhs2 = _c3_rhs_part2(n)
-    report2 = IdentityReport(
-        check_id="conjecture3ii",
-        n=n,
-        input=det_h,
-        image=lhs2,
-        classification=_classification(lhs2),
-        residual=lhs2 - rhs2,
-        verdict=VERIFIED if lhs2 == rhs2 else REFUTED,
-        expected=rhs2,
-        ratio=proportional(lhs2, rhs2),
-        runtime_ms=(time.perf_counter() - start2) * 1000,
-        notes={"shifted_products_match": lhs2 == _c3_rhs_part2(n, shifted=True)},
-    )
-    return report1, report2
+    det_s = time.perf_counter() - start
+    reports = []
+    for check_id, psi, rhs in (
+        ("conjecture3i", psi_ak1, _c3_rhs_part1),
+        ("conjecture3ii", psi_ak2, _c3_rhs_part2),
+    ):
+        start = time.perf_counter() - det_s
+        image = phi_k(apply_psi(psi(2 * n), det_h))
+        notes = {"shifted_products_match": image == rhs(n, shifted=True)}
+        reports.append(_report(check_id, n, image, rhs(n), start, notes))
+    return tuple(reports)

@@ -430,104 +430,3 @@ def determinant(matrix) -> Polynomial:
         return minors[remaining]
 
     return minor(tuple(range(n)))
-
-
-# -- localization at a single pivot variable ---------------------------
-
-
-class LocalizedPolynomial:
-    """numerator / pivot^pivot_power, normalized so the pivot does not
-    divide the numerator whenever pivot_power > 0."""
-
-    __slots__ = ("numerator", "pivot", "pivot_power")
-
-    def __init__(self, numerator: Polynomial, pivot: int, pivot_power: int):
-        if pivot_power < 0:
-            raise ValueError("pivot_power must be >= 0")
-        numerator = _coerce(numerator)
-        while pivot_power > 0 and not numerator.is_zero:
-            quotient = _try_div_var(numerator, pivot)
-            if quotient is None:
-                break
-            numerator = quotient
-            pivot_power -= 1
-        if numerator.is_zero:
-            pivot_power = 0
-        self.numerator = numerator
-        self.pivot = pivot
-        self.pivot_power = pivot_power
-
-    @property
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero
-
-    def _same_pivot(self, other: "LocalizedPolynomial"):
-        if self.pivot != other.pivot:
-            raise ValueError("localized polynomials have different pivots")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = LocalizedPolynomial(_coerce(other), self.pivot, 0)
-        self._same_pivot(other)
-        k = max(self.pivot_power, other.pivot_power)
-        pv = Polynomial.var(self.pivot)
-        num = (
-            self.numerator * pv ** (k - self.pivot_power)
-            + other.numerator * pv ** (k - other.pivot_power)
-        )
-        return LocalizedPolynomial(num, self.pivot, k)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LocalizedPolynomial(-self.numerator, self.pivot, self.pivot_power)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = LocalizedPolynomial(_coerce(other), self.pivot, 0)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return LocalizedPolynomial(
-                self.numerator * other, self.pivot, self.pivot_power
-            )
-        self._same_pivot(other)
-        return LocalizedPolynomial(
-            self.numerator * other.numerator,
-            self.pivot,
-            self.pivot_power + other.pivot_power,
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = LocalizedPolynomial(_coerce(other), self.pivot, 0)
-        if not isinstance(other, LocalizedPolynomial):
-            return NotImplemented
-        return (
-            self.pivot == other.pivot
-            and self.pivot_power == other.pivot_power
-            and self.numerator == other.numerator
-        )
-
-    def __repr__(self):
-        if self.pivot_power == 0:
-            return f"({self.numerator})"
-        return f"({self.numerator}) / {var_name(self.pivot)}^{self.pivot_power}"
-
-
-def _try_div_var(p: Polynomial, code: int):
-    """p / var if the variable divides every term, else None."""
-    result = {}
-    for m, c in p.terms():
-        d = dict(m)
-        if d.get(code, 0) < 1:
-            return None
-        if d[code] == 1:
-            del d[code]
-        else:
-            d[code] -= 1
-        result[tuple(sorted(d.items()))] = c
-    return Polynomial(result)

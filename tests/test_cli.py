@@ -163,6 +163,32 @@ def test_cli_usage_error():
     assert run([]) == 2
 
 
+@pytest.mark.parametrize(
+    "expr", ["(" * 3000 + "x0" + ")" * 3000, "-" * 3000 + "x0"], ids=["parens", "minus"]
+)
+def test_cli_deep_nesting_is_a_parse_error(capsys, expr):
+    assert run(["identity", "verify", "--", expr]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error at line 1, column 101: nesting")
+    assert "Traceback" not in err
+
+
+def test_parse_nesting_limit():
+    assert parse_expr("(" * 100 + "x0" + ")" * 100) == x0
+    assert parse_expr("-" * 100 + "x0") == x0
+    assert parse_expr("-(" * 50 + "x0" + ")" * 50) == x0
+    with pytest.raises(ParseError):
+        parse_expr("-(" * 50 + "-x0" + ")" * 50)
+
+
+@pytest.mark.parametrize("which,first", [(1, 2), (2, 2), (3, 1)])
+def test_cli_empty_conjecture_sweep_is_a_usage_error(capsys, which, first):
+    assert run(["conjecture", str(which), "--max-n", str(first - 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def _readme_examples():
     """argv of every `kravchuk ...` line in the README's CLI block."""
     with open(TESTS.parent / "README.md") as fh:

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kravchuk_identities.derivations import (
+    Derivation,
+    Sigma,
     apply,
-    apply_localized,
     cayley_k1,
     cayley_k2,
     dixmier_sigma,
@@ -14,11 +16,10 @@ from kravchuk_identities.derivations import (
     is_in_kernel,
     kravchuk1,
     kravchuk2,
-    make_slice,
     power_apply,
     weitzenbock,
 )
-from kravchuk_identities.poly import LocalizedPolynomial, Polynomial, xvar
+from kravchuk_identities.poly import Polynomial, xvar
 
 from conftest import polynomials
 from oracles import dk1_scale_by_iteration
@@ -104,33 +105,41 @@ def test_closed_form_table_rows():
     )
 
 
-def test_slice_validity():
-    for D in (kravchuk1(4), kravchuk2(4)):
-        slc = make_slice(D)
-        assert slc.lam == LocalizedPolynomial(-x1, xvar(0), 1)
-        assert apply_localized(D, slc.lam) == Polynomial.constant(-1)
-
-
-def test_slice_rejects_bad_h():
-    with pytest.raises(ValueError):
-        make_slice(kravchuk1(3), x0)  # D(h) = 0
-    with pytest.raises(ValueError):
-        make_slice(kravchuk1(3), x3)  # D^2(h) != 0
+def test_dixmier_sigma_rejects_bad_derivation():
+    zero = Polynomial.zero()
+    bad_images = (
+        (zero, zero, x1),  # D(x1) = 0
+        (zero, x0 + 1, x1),  # D(x1) not a multiple of x0
+        (x1, x0, x1),  # D(x0) != 0
+    )
+    for images in bad_images:
+        with pytest.raises(ValueError):
+            dixmier_sigma(Derivation("bad", images), 2)
 
 
 def test_dixmier_sigma_basics():
     dk1 = kravchuk1(2)
-    assert dixmier_sigma(dk1, 0) == LocalizedPolynomial(x0, xvar(0), 0)
-    assert dixmier_sigma(dk1, 1).is_zero
+    assert dixmier_sigma(dk1, 0) == Sigma(x0, 0)
+    assert dixmier_sigma(dk1, 1) == Sigma(Polynomial.zero(), 0)
+    assert repr(dixmier_sigma(dk1, 0)) == "(x0)"
 
 
 def test_dixmier_sigma_k2_worked_image():
-    dk2 = kravchuk2(2)
-    sigma = dixmier_sigma(dk2, 2)
-    expected = LocalizedPolynomial(
-        (x1 * x0 - x1**2 + 2 * x2 * x0) / 2, xvar(0), 1
-    )
-    assert sigma == expected
+    sigma = dixmier_sigma(kravchuk2(2), 2)
+    assert sigma == Sigma((x1 * x0 - x1**2 + 2 * x2 * x0) / 2, 1)
+    assert repr(sigma) == "(-1/2*x1^2 + x0*x2 + 1/2*x0*x1) / x0^1"
+
+
+@given(st.sampled_from([kravchuk1, kravchuk2]), st.integers(1, 8), st.data())
+@settings(max_examples=40, deadline=None)
+def test_dixmier_sigma_is_reduced_and_in_kernel(build, n, data):
+    i = data.draw(st.integers(0, n))
+    D = build(n)
+    sigma = dixmier_sigma(D, i)
+    if sigma.power > 0:
+        # x0 does not divide the numerator: some term has no x0
+        assert any(dict(m).get(xvar(0), 0) == 0 for m, _ in sigma.numerator.terms())
+    assert apply(D, sigma.numerator).is_zero
 
 
 def test_dixmier_images_killed_by_derivation():

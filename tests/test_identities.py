@@ -1,9 +1,12 @@
+import time
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
 
-from kravchuk_identities.derivations import cayley_k1
+from kravchuk_identities import identities
+from kravchuk_identities.derivations import apply, cayley_k1, kravchuk1, kravchuk2
 from kravchuk_identities.identities import (
     CONSTANT,
     MIXED,
@@ -25,6 +28,8 @@ from kravchuk_identities.identities import (
 )
 from kravchuk_identities.kravchuk import kravchuk
 from kravchuk_identities.poly import A, X, Polynomial, determinant, xvar
+
+from conftest import polynomials
 
 x0, x1, x2, x3, x4, x5 = (Polynomial.var(xvar(i)) for i in range(6))
 a = Polynomial.var(A)
@@ -178,6 +183,24 @@ def test_conjecture3_small_sweep():
         assert rep_ii.verdict == REFUTED
         assert rep_ii.notes["shifted_products_match"]
         assert rep_ii.classification == ONLY_X
+
+
+def test_conjecture3_runtime_counts_the_shared_determinant(monkeypatch):
+    def slow_determinant(matrix):
+        time.sleep(0.05)
+        return determinant(matrix)
+
+    monkeypatch.setattr(identities, "determinant", slow_determinant)
+    for rep in conjecture3(1):
+        assert rep.runtime_ms >= 50
+
+
+@given(polynomials(max_var=5, max_exp=1, max_terms=3))
+@settings(max_examples=25, deadline=None)
+def test_phi_intertwines_kravchuk_derivations(p):
+    # phi o D_K2 = d/da o phi and phi o D_K1 = -1/2 d/dx o phi
+    assert phi_k(apply(kravchuk2(5), p)) == phi_k(p).diff(A)
+    assert phi_k(apply(kravchuk1(5), p)) == phi_k(p).diff(X) * Fraction(-1, 2)
 
 
 def test_phi_k_matches_kravchuk_table():
