@@ -9,14 +9,15 @@ Grammar:
     rational := digits ('/' digits)?
 
 Implicit multiplication is not allowed, and '(' and unary '-' nest at
-most MAX_NESTING deep. Exit codes: 0 all verified, 1 any refuted, 2 usage
-or parse error.
+most MAX_NESTING deep. Exit codes: 0 all verified, 1 any refuted, 2 usage,
+parse or output error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -292,7 +293,9 @@ def run(argv) -> int:
     except ParseError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except BrokenPipeError:
+        raise  # the reader closed stdout; main exits quietly
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -382,7 +385,15 @@ def _run_conjecture(which: int, max_n):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the interpreter's final flush of
+        # the unwritten output raises nothing either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import arith
-from .derivations import dk1_power_coeff, is_in_kernel, kravchuk1, weitzenbock
+from .derivations import dixmier_sigma, is_in_kernel, kravchuk1, kravchuk2, weitzenbock
 from .intertwine import apply_psi, psi_ak1, psi_ak2
 from .kravchuk import kravchuk
 from .poly import (
@@ -44,7 +44,6 @@ class IdentityReport:
     n: int | None
     image: Polynomial
     classification: str
-    residual: Polynomial
     verdict: str | None
     expected: Polynomial | None
     ratio: Fraction | None
@@ -111,17 +110,15 @@ def _report(
     """The report comparing image with expected, timed from start (a
     time.perf_counter() value); with no expected side there is no verdict."""
     if expected is None:
-        verdict, residual, ratio = None, image, None
+        verdict, ratio = None, None
     else:
         verdict = VERIFIED if image == expected else REFUTED
-        residual = image - expected
         ratio = proportional(image, expected)
     return IdentityReport(
         check_id=check_id,
         n=n,
         image=image,
         classification=_classification(image),
-        residual=residual,
         verdict=verdict,
         expected=expected,
         ratio=ratio,
@@ -144,26 +141,18 @@ def classify(
 # -- conjectures 1 and 2 ------------------------------------------------
 
 
-def conjecture1(n: int) -> IdentityReport:
-    """phi_K(sigma(x_n)) for D_K1 versus the conjectured closed product.
+def _phi_sigma(D, n: int) -> Polynomial:
+    """phi_K(sigma(x_n)) for D; phi_K(x0) = K_0 = 1, so sigma's x0
+    denominator drops out."""
+    return phi_k(dixmier_sigma(D, n).numerator)
 
-    The sum uses the S^(k)/2^k coefficients of the D_K1 power closed form
-    (the literal printed S^(k) is off by that 2^-k normalization); with
-    them the odd-n cases vanish exactly.
-    """
+
+def conjecture1(n: int) -> IdentityReport:
+    """phi_K(sigma(x_n)) for D_K1 versus the conjectured closed product."""
     if n < 2:
         raise ValueError(f"conjecture1: n must be >= 2, got {n}")
     start = time.perf_counter()
-    k1 = kravchuk(1)
-    lhs = Polynomial.zero()
-    for i in range(n + 1):
-        inner = Polynomial.zero()
-        for k in range(n - i + 1):
-            c = dk1_power_coeff(k, n - i)
-            if c:
-                inner = inner + k1**k * (Fraction((-1) ** k, factorial(k)) * c)
-        if not inner.is_zero:
-            lhs = lhs + kravchuk(i) * inner
+    lhs = _phi_sigma(kravchuk1(n), n)
     if n % 2 == 1:
         rhs = Polynomial.zero()
     else:
@@ -176,21 +165,11 @@ def conjecture1(n: int) -> IdentityReport:
 
 
 def conjecture2(n: int) -> IdentityReport:
-    """sum_i K_i sum_k (-1)^k/(n-i)! K_1^k s(n-i,k) versus 0 / (-1)^m C(x,m)."""
+    """phi_K(sigma(x_n)) for D_K2 versus 0 (odd n) or (-1)^m C(x,m), n = 2m."""
     if n < 2:
         raise ValueError(f"conjecture2: n must be >= 2, got {n}")
     start = time.perf_counter()
-    k1 = kravchuk(1)
-    lhs = Polynomial.zero()
-    for i in range(n + 1):
-        m = n - i
-        inner = Polynomial.zero()
-        for k in range(m + 1):
-            s = arith.stirling_first(m, k)
-            if s:
-                inner = inner + k1**k * Fraction((-1) ** k * s, factorial(m))
-        if not inner.is_zero:
-            lhs = lhs + kravchuk(i) * inner
+    lhs = _phi_sigma(kravchuk2(n), n)
     if n % 2 == 1:
         rhs = Polynomial.zero()
     else:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from . import arith, series
+from . import arith
 from .poly import Polynomial, var_name, xvar
 
 
@@ -93,23 +93,3 @@ def apply_psi(psi: LinearSubstitution, p: Polynomial) -> Polynomial:
             )
     return p.substitute({v: psi.images[v] for v in p.variables()})
 
-
-def t_genfun_oracle(i: int, N: int) -> list:
-    """n! * [z^n] ((e^(2z)-1)/(e^(2z)+1))^i for n = i..N.
-
-    Independent generating-function route to T(n,i)."""
-    if not 1 <= i <= N:
-        raise ValueError("need 1 <= i <= N")
-    e2z = series.exp_series(2, N)
-    f = (e2z - 1) / (e2z + 1)
-    fi = f**i
-    return [fi[n] * factorial(n) for n in range(i, N + 1)]
-
-
-def b_genfun_oracle(k: int, N: int) -> list:
-    """n! * [z^n] (e^z - 1)^k for n = k..N; matches B(n,k)."""
-    if not 1 <= k <= N:
-        raise ValueError("need 1 <= k <= N")
-    f = series.exp_series(1, N) - 1
-    fk = f**k
-    return [fk[n] * factorial(n) for n in range(k, N + 1)]

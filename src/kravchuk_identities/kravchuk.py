@@ -1,8 +1,8 @@
 """Kravchuk polynomials K_n(x, a) and their derivative expansions."""
 
-from fractions import Fraction
 from functools import lru_cache
 
+from . import derivations
 from .poly import A, X, Polynomial
 
 
@@ -26,23 +26,20 @@ def kravchuk(n: int) -> Polynomial:
     return (k1 * kravchuk(n - 1) - (a - (n - 2)) * kravchuk(n - 2)) / n
 
 
+def _phi_image(image: Polynomial) -> Polynomial:
+    """phi_K of a linear form in the generators: x_i -> K_i."""
+    return image.substitute({v: kravchuk(v) for v in image.variables()})
+
+
 def dKdx_expansion(n: int) -> Polynomial:
-    """d/dx K_n as the combination -2 sum_{i=1}^n (1-(-1)^i)/(2i) K_{n-i}."""
+    """d/dx K_n = -2 phi_K(D_K1(x_n)), a combination of K_0..K_{n-1}."""
     if n < 1:
         raise ValueError(f"dKdx_expansion: n must be >= 1, got {n}")
-    total = Polynomial.zero()
-    for i in range(1, n + 1):
-        c = Fraction(1 - (-1) ** i, 2 * i)
-        if c:
-            total = total + kravchuk(n - i) * (-2 * c)
-    return total
+    return _phi_image(derivations.kravchuk1(n).images[n]) * -2
 
 
 def dKda_expansion(n: int) -> Polynomial:
-    """d/da K_n as the combination sum_{i=0}^{n-1} (-1)^(n+1+i)/(n-i) K_i."""
+    """d/da K_n = phi_K(D_K2(x_n)), a combination of K_0..K_{n-1}."""
     if n < 1:
         raise ValueError(f"dKda_expansion: n must be >= 1, got {n}")
-    total = Polynomial.zero()
-    for i in range(n):
-        total = total + kravchuk(i) * Fraction((-1) ** (n + 1 + i), n - i)
-    return total
+    return _phi_image(derivations.kravchuk2(n).images[n])

@@ -234,20 +234,16 @@ class Polynomial:
         if missing:
             names = ", ".join(var_name(v) for v in sorted(missing))
             raise KeyError(f"no substitution binding for variable(s): {names}")
-        pow_cache: dict = {}
-
-        def image_pow(v: int, e: int) -> Polynomial:
-            key = (v, e)
-            if key not in pow_cache:
-                pow_cache[key] = images[v] ** e
-            return pow_cache[key]
-
+        powers: dict = {}
         total = Polynomial.zero()
         for m, c in self._terms.items():
-            term = Polynomial.constant(c)
-            for v, e in m:
-                term = term * image_pow(v, e)
-            total = total + term
+            term = None
+            for key in m:
+                if key not in powers:
+                    v, e = key
+                    powers[key] = images[v] ** e if e > 1 else images[v]
+                term = powers[key] if term is None else term * powers[key]
+            total = total + (Polynomial.constant(c) if term is None else term * c)
         return total
 
     def __repr__(self):

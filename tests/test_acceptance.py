@@ -48,10 +48,11 @@ from kravchuk_identities.intertwine import (
     psi_ak1,
     psi_ak2,
     t_coeff,
-    t_genfun_oracle,
 )
 from kravchuk_identities.kravchuk import dKda_expansion, dKdx_expansion, kravchuk
 from kravchuk_identities.poly import A, X, Polynomial, determinant, render_text, xvar
+
+from oracles import t_genfun_oracle
 
 x0, x1, x2, x3, x4, x5 = (Polynomial.var(xvar(i)) for i in range(6))
 a = Polynomial.var(A)

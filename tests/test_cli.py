@@ -123,6 +123,15 @@ def test_cli_conjecture_out_file(tmp_path, capsys):
     assert [rec["n"] for rec in records] == [2, 3, 4, 5, 6]
 
 
+def test_cli_unwritable_out_is_an_output_error(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "r.json"
+    assert run(["conjecture", "2", "--max-n", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_discriminant_demo(capsys):
     assert run(["discriminant-demo"]) == 0
     out = capsys.readouterr().out
@@ -219,16 +228,38 @@ def test_readme_examples_match_golden(capsys, tmp_path):
             assert records == g["out_records"]
 
 
-def test_module_entry_point_writes_no_warning():
+def _run_module(args, **kwargs):
+    """`python -m kravchuk_identities.cli args` on this checkout's package,
+    with stdout block-buffered as it is by default."""
     src = Path(kravchuk_identities.__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-m", "kravchuk_identities.cli", "poly", "2"],
-        capture_output=True,
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "kravchuk_identities.cli", *args],
         text=True,
         env=env,
         timeout=60,
+        **kwargs,
     )
+
+
+def test_module_entry_point_writes_no_warning():
+    proc = _run_module(["poly", "2"], capture_output=True)
     assert proc.returncode == 0
     assert proc.stdout == "1/2*a^2 - 2*x*a + 2*x^2 - 1/2*a\n"
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("n", ["2", "30"], ids=["at-exit-flush", "during-print"])
+def test_module_entry_point_closed_stdout_exits_2(n):
+    # The reader is gone before the child writes: K_2 fails only at the
+    # final flush, K_30 (over 8 KB) already inside print.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_module(["poly", n], stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    # No traceback, no "Exception ignored" at shutdown, no error line.
     assert proc.stderr == ""

@@ -30,6 +30,7 @@ from kravchuk_identities.kravchuk import kravchuk
 from kravchuk_identities.poly import A, X, Polynomial, determinant, xvar
 
 from conftest import polynomials
+from oracles import conjecture1_double_sum, conjecture2_double_sum
 
 x0, x1, x2, x3, x4, x5 = (Polynomial.var(xvar(i)) for i in range(6))
 a = Polynomial.var(A)
@@ -70,7 +71,7 @@ def test_classify_cayley_images():
         rep = classify(cayley_k1(n), expected=img, check_id="cayley", n=n)
         assert rep.verdict == VERIFIED
         assert rep.classification == (CONSTANT if n % 2 else ONLY_A)
-        assert rep.residual.is_zero
+        assert rep.image == rep.expected
         assert rep.ratio == 1
 
 
@@ -127,6 +128,13 @@ def test_conjecture1_even_cases():
         assert rep.verdict == REFUTED
         assert rep.ratio == Fraction(1, factorial(n))
         assert rep.image == phi_k(cayley_k1(n)) / (n * factorial(n - 2))
+
+
+def test_conjectures_1_2_match_closed_power_double_sums():
+    # phi_K(sigma(x_n)) against the sums over the closed forms of D^k(x_n)
+    for n in range(2, 13):
+        assert conjecture1(n).image == conjecture1_double_sum(n)
+        assert conjecture2(n).image == conjecture2_double_sum(n)
 
 
 def test_conjecture2_verifies():

@@ -7,13 +7,13 @@ from kravchuk_identities.derivations import apply, is_in_kernel, kravchuk1, krav
 from kravchuk_identities.intertwine import (
     apply_psi,
     b_coeff,
-    b_genfun_oracle,
     psi_ak1,
     psi_ak2,
     t_coeff,
-    t_genfun_oracle,
 )
 from kravchuk_identities.poly import Polynomial, xvar
+
+from oracles import b_genfun_oracle, t_genfun_oracle
 
 x0, x1, x2, x3, x4, x5, x6 = (Polynomial.var(xvar(i)) for i in range(7))
 
