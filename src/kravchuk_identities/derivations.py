@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from . import arith
 from .poly import Polynomial, mono_div, var_name, xvar
@@ -182,10 +182,11 @@ def dixmier_sigma(D: Derivation, i: int) -> Sigma:
     # Every term over the common denominator x0^top; the x0 factors that the
     # whole numerator shares with it cancel once, at the end.
     top = len(iterates) - 1
-    h = Polynomial.var(xvar(1)) / -c
     numerator = Polynomial.zero()
     for k, dk in enumerate(iterates):
-        numerator = numerator + dk * h**k * x0 ** (top - k) / factorial(k)
+        # (-x1/c)^k x0^(top-k) / k! as one term
+        mono = tuple((xvar(v), e) for v, e in ((0, top - k), (1, k)) if e)
+        numerator = numerator + dk * Polynomial({mono: (-1 / c) ** k / factorial(k)})
     shared = min((dict(m).get(xvar(0), 0) for m, _ in numerator.terms()), default=top)
     shared = min(shared, top)
     if shared:
@@ -226,7 +227,7 @@ def cayley_k2(n: int) -> CayleyK2:
     coeffs = [c for _, c in num.terms()]
     content = Fraction(
         gcd(*(c.numerator for c in coeffs)),
-        _lcm_all(c.denominator for c in coeffs),
+        lcm(*(c.denominator for c in coeffs)),
     )
     primitive = num / content
     # Sign convention per the published sigma tables: the x_1 * x_0^power
@@ -241,10 +242,3 @@ def cayley_k2(n: int) -> CayleyK2:
     if anchor < 0:
         primitive, content = -primitive, -content
     return CayleyK2(primitive, content, power)
-
-
-def _lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out

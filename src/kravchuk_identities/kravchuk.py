@@ -1,9 +1,10 @@
-"""Kravchuk polynomials K_n(x, a) and their derivative expansions."""
+"""Kravchuk polynomials K_n(x, a), the substitution phi_K (x_i -> K_i) and
+the derivative expansions."""
 
 from functools import lru_cache
 
 from . import derivations
-from .poly import A, X, Polynomial
+from .poly import A, X, Polynomial, var_name
 
 
 @lru_cache(maxsize=None)
@@ -26,20 +27,26 @@ def kravchuk(n: int) -> Polynomial:
     return (k1 * kravchuk(n - 1) - (a - (n - 2)) * kravchuk(n - 2)) / n
 
 
-def _phi_image(image: Polynomial) -> Polynomial:
-    """phi_K of a linear form in the generators: x_i -> K_i."""
-    return image.substitute({v: kravchuk(v) for v in image.variables()})
+def phi_k(p: Polynomial, N: int = None) -> Polynomial:
+    """Substitute x_i -> K_i(x,a) and expand."""
+    vs = p.variables()
+    for v in vs:
+        if v in (X, A):
+            raise ValueError("phi_k input must use only the generators x0..xN")
+        if N is not None and v > N:
+            raise ValueError(f"variable {var_name(v)} out of range (N={N})")
+    return p.substitute({v: kravchuk(v) for v in vs})
 
 
 def dKdx_expansion(n: int) -> Polynomial:
     """d/dx K_n = -2 phi_K(D_K1(x_n)), a combination of K_0..K_{n-1}."""
     if n < 1:
         raise ValueError(f"dKdx_expansion: n must be >= 1, got {n}")
-    return _phi_image(derivations.kravchuk1(n).images[n]) * -2
+    return phi_k(derivations.kravchuk1(n).images[n]) * -2
 
 
 def dKda_expansion(n: int) -> Polynomial:
     """d/da K_n = phi_K(D_K2(x_n)), a combination of K_0..K_{n-1}."""
     if n < 1:
         raise ValueError(f"dKda_expansion: n must be >= 1, got {n}")
-    return _phi_image(derivations.kravchuk2(n).images[n])
+    return phi_k(derivations.kravchuk2(n).images[n])

@@ -401,28 +401,31 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
 def determinant(matrix) -> Polynomial:
     """Exact determinant of a square matrix of polynomials.
 
-    Laplace expansion down the columns.  The minor on a given set of
-    remaining rows is computed once, so an n x n matrix takes at most
-    n 2^(n-1) entry products instead of n!.
+    Fraction-free Bareiss elimination: after step k every entry of the
+    trailing block is a (k+2) x (k+2) minor, so the division by the
+    previous pivot is exact and entries never grow into fractions of
+    polynomials.
     """
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise ValueError("determinant: matrix must be square and non-empty")
     rows = [[_coerce(e) for e in row] for row in matrix]
-    minors = {(): Polynomial.one()}
-
-    def minor(remaining: tuple) -> Polynomial:
-        """Determinant of the remaining rows on the last len(remaining) columns."""
-        if remaining not in minors:
-            col = n - len(remaining)
-            total = Polynomial.zero()
-            for pos, i in enumerate(remaining):
-                entry = rows[i][col]
-                if entry.is_zero:
-                    continue
-                cof = entry * minor(remaining[:pos] + remaining[pos + 1 :])
-                total = total + cof if pos % 2 == 0 else total - cof
-            minors[remaining] = total
-        return minors[remaining]
-
-    return minor(tuple(range(n)))
+    sign = 1
+    denom = Polynomial.one()
+    for k in range(n - 1):
+        if rows[k][k].is_zero:
+            for i in range(k + 1, n):
+                if not rows[i][k].is_zero:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return Polynomial.zero()
+        pivot = rows[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = rows[i][j] * pivot - rows[i][k] * rows[k][j]
+                rows[i][j] = exact_div(num, denom)
+        denom = pivot
+    det = rows[n - 1][n - 1]
+    return det if sign == 1 else -det

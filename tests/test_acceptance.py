@@ -257,12 +257,13 @@ def test_criterion_10_theorem_classification():
         # every kernel element used in the suite
         k1_elems = [cayley_k1(n) for n in range(2, 9)]
         k1_elems.append(apply_psi(psi_ak1(6), i_element(3)))
-        k1_elems.append(apply_psi(psi_ak1(4), determinant(hankel(2))))
+        det_h2 = determinant(hankel([x0, x1, x2, x3, x4]))
+        k1_elems.append(apply_psi(psi_ak1(4), det_h2))
         for p in k1_elems:
             assert classify(p).classification in (CONSTANT, ONLY_A)
         k2_elems = [cayley_k2(n).polynomial for n in range(2, 9)]
         k2_elems.append(apply_psi(psi_ak2(6), i_element(3)))
-        k2_elems.append(apply_psi(psi_ak2(4), determinant(hankel(2))))
+        k2_elems.append(apply_psi(psi_ak2(4), det_h2))
         for p in k2_elems:
             assert classify(p).classification in (CONSTANT, ONLY_X)
         # phi o D_K2 = d/da o phi on monomials; phi o D_K1 = c d/dx o phi

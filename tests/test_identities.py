@@ -30,7 +30,7 @@ from kravchuk_identities.kravchuk import kravchuk
 from kravchuk_identities.poly import A, X, Polynomial, determinant, xvar
 
 from conftest import polynomials
-from oracles import conjecture1_double_sum, conjecture2_double_sum
+from oracles import conjecture1_double_sum, conjecture2_double_sum, conjecture3_expanded
 
 x0, x1, x2, x3, x4, x5 = (Polynomial.var(xvar(i)) for i in range(6))
 a = Polynomial.var(A)
@@ -154,10 +154,12 @@ def test_i_element():
 
 
 def test_hankel_shape():
-    h = hankel(2)
+    h = hankel([x0, x1, x2, x3, x4])
     assert len(h) == 3 and all(len(row) == 3 for row in h)
     assert h[1][2] == x3
-    assert determinant(hankel(1)) == x0 * x2 - x1**2
+    assert determinant(hankel([x0, x1, x2])) == x0 * x2 - x1**2
+    with pytest.raises(ValueError):
+        hankel([x0, x1])
 
 
 def test_discriminant_chain():
@@ -183,7 +185,7 @@ def test_conjecture3_n1():
 
 
 def test_conjecture3_small_sweep():
-    for n in (2, 3):
+    for n in range(2, 7):
         rep_i, rep_ii = conjecture3(n)
         assert rep_i.verdict == REFUTED
         assert rep_i.notes["shifted_products_match"]
@@ -191,6 +193,13 @@ def test_conjecture3_small_sweep():
         assert rep_ii.verdict == REFUTED
         assert rep_ii.notes["shifted_products_match"]
         assert rep_ii.classification == ONLY_X
+
+
+def test_conjecture3_matches_expanded_route():
+    # phi_K(psi(det H_n)) with det H_n expanded over x_0..x_2n first
+    for n in range(1, 4):
+        images = tuple(rep.image for rep in conjecture3(n))
+        assert images == conjecture3_expanded(n)
 
 
 def test_conjecture3_runtime_counts_the_shared_determinant(monkeypatch):

@@ -16,7 +16,7 @@ from kravchuk_identities.poly import (
 )
 
 from conftest import polynomials
-from oracles import determinant_bareiss
+from oracles import determinant_laplace
 
 x0, x1, x2, x3 = (Polynomial.var(xvar(i)) for i in range(4))
 x = Polynomial.var(X)
@@ -125,12 +125,12 @@ def test_diff_leibniz(p, q):
 
 @given(polynomials(max_var=3, max_exp=2, max_terms=2))
 @settings(max_examples=20, deadline=None)
-def test_determinant_matches_bareiss_3x3(p):
+def test_determinant_matches_laplace_3x3(p):
     entries = [
         [p + i + j if (i + j) % 2 == 0 else p * (i + 1) - j for j in range(3)]
         for i in range(3)
     ]
-    assert determinant(entries) == determinant_bareiss(entries)
+    assert determinant(entries) == determinant_laplace(entries)
 
 
 @given(
@@ -139,9 +139,9 @@ def test_determinant_matches_bareiss_3x3(p):
     )
 )
 @settings(max_examples=20, deadline=None)
-def test_determinant_matches_bareiss_4x4(entries):
+def test_determinant_matches_laplace_4x4(entries):
     matrix = [entries[4 * i : 4 * i + 4] for i in range(4)]
-    assert determinant(matrix) == determinant_bareiss(matrix)
+    assert determinant(matrix) == determinant_laplace(matrix)
 
 
 @given(
@@ -150,18 +150,36 @@ def test_determinant_matches_bareiss_4x4(entries):
     )
 )
 @settings(max_examples=15, deadline=None)
-def test_determinant_matches_bareiss_5x5(entries):
+def test_determinant_matches_laplace_5x5(entries):
     matrix = [entries[5 * i : 5 * i + 5] for i in range(5)]
-    assert determinant(matrix) == determinant_bareiss(matrix)
+    assert determinant(matrix) == determinant_laplace(matrix)
 
 
-def test_determinant_matches_bareiss_hankel_and_discriminant():
+@given(
+    st.lists(
+        polynomials(max_var=2, max_exp=1, max_terms=2), min_size=36, max_size=36
+    )
+)
+@settings(max_examples=10, deadline=None)
+def test_determinant_matches_laplace_6x6(entries):
+    matrix = [entries[6 * i : 6 * i + 6] for i in range(6)]
+    assert determinant(matrix) == determinant_laplace(matrix)
+
+
+def test_determinant_matches_laplace_hankel_and_discriminant():
     from kravchuk_identities.identities import discriminant_matrix, hankel
+    from kravchuk_identities.intertwine import psi_ak1, psi_ak2
+    from kravchuk_identities.kravchuk import phi_k
 
     for n in range(1, 5):
-        assert determinant(hankel(n)) == determinant_bareiss(hankel(n))
+        h = hankel([Polynomial.var(xvar(k)) for k in range(2 * n + 1)])
+        assert determinant(h) == determinant_laplace(h)
+        # the conjecture-3 matrices: Hankel on the bivariate phi_K(psi(x_k))
+        for psi in (psi_ak1, psi_ak2):
+            h = hankel([phi_k(q) for q in psi(2 * n).images])
+            assert determinant(h) == determinant_laplace(h)
     m = discriminant_matrix()
-    assert determinant(m) == determinant_bareiss(m)
+    assert determinant(m) == determinant_laplace(m)
 
 
 def test_render_canonical_text():
