@@ -113,12 +113,14 @@ class _Parser:
         return p
 
     def _expr(self) -> Polynomial:
-        p = self._term()
+        return Polynomial.sum(self._signed_terms())
+
+    def _signed_terms(self):
+        yield self._term()
         while self.toks.peek()[0] in "+-":
             op = self.toks.next()[0]
             q = self._term()
-            p = p + q if op == "+" else p - q
-        return p
+            yield q if op == "+" else -q
 
     def _term(self) -> Polynomial:
         p = self._factor()
@@ -160,7 +162,10 @@ class _Parser:
                 return Polynomial.var(X)
             if value == "a":
                 return Polynomial.var(A)
-            return Polynomial.var(xvar(int(value[1:])))
+            try:
+                return Polynomial.var(xvar(int(value[1:])))
+            except ValueError as exc:
+                raise ParseError(str(exc), line, col) from None
         if kind not in ("(", "-"):
             raise ParseError(f"unexpected token {value!r}", line, col)
         self.depth += 1
@@ -341,6 +346,9 @@ def _dispatch(args) -> int:
     if cmd == "identity":
         p = parse_expr(args.expr)
         expected = parse_expr(args.expect) if args.expect is not None else None
+        if expected is not None and expected.variables() - {X, A}:
+            # The phi_K image lies in Q[x,a]; no such expectation can match.
+            raise ValueError("--expect must be a polynomial in x and a alone")
         report = identities.classify(p, expected=expected)
         print(f"image: {render_text(report.image)}")
         print(f"classification: {report.classification}")

@@ -37,19 +37,20 @@ def build(kind: str, N: int) -> Derivation:
     elif kind == "kravchuk1":
         # D(x_n) = sum_{i=1}^n (1-(-1)^i)/(2i) x_{n-i}  (odd i only)
         for n in range(1, N + 1):
-            img = Polynomial.zero()
-            for i in range(1, n + 1, 2):
-                img = img + Polynomial.var(xvar(n - i)) * Fraction(1, i)
-            images.append(img)
+            images.append(
+                Polynomial.sum(
+                    Polynomial.var(xvar(n - i)) * Fraction(1, i) for i in range(1, n + 1, 2)
+                )
+            )
     elif kind == "kravchuk2":
         # D(x_n) = sum_{i=0}^{n-1} (-1)^(n+1+i)/(n-i) x_i
         for n in range(1, N + 1):
-            img = Polynomial.zero()
-            for i in range(n):
-                img = img + Polynomial.var(xvar(i)) * Fraction(
-                    (-1) ** (n + 1 + i), n - i
+            images.append(
+                Polynomial.sum(
+                    Polynomial.var(xvar(i)) * Fraction((-1) ** (n + 1 + i), n - i)
+                    for i in range(n)
                 )
-            images.append(img)
+            )
     else:
         raise ValueError(f"unknown derivation kind: {kind!r}")
     return Derivation(kind, tuple(images))
@@ -73,27 +74,15 @@ def kravchuk2(N: int) -> Derivation:
 
 
 def apply(D: Derivation, p: Polynomial) -> Polynomial:
-    """Leibniz extension of the generator images to any polynomial."""
-    for v in p.variables():
+    """D(p) = sum_v dp/dx_v * D(x_v): a derivation is fixed by the images
+    of the generators."""
+    variables = p.variables()
+    for v in variables:
         if v > D.max_index:
             raise ValueError(
                 f"variable {var_name(v)} out of range for {D.name} on x0..x{D.max_index}"
             )
-    total = Polynomial.zero()
-    for mono, c in p.terms():
-        for v, e in mono:
-            image = D.images[v]
-            if image.is_zero:
-                continue
-            # c * e * v^(e-1) * (other factors) * D(v)
-            rest = dict(mono)
-            if e == 1:
-                del rest[v]
-            else:
-                rest[v] = e - 1
-            cof = Polynomial({tuple(sorted(rest.items())): c * e})
-            total = total + cof * image
-    return total
+    return Polynomial.sum(p.diff(v) * D.images[v] for v in variables)
 
 
 def power_apply(D: Derivation, p: Polynomial, k: int) -> Polynomial:
@@ -182,11 +171,13 @@ def dixmier_sigma(D: Derivation, i: int) -> Sigma:
     # Every term over the common denominator x0^top; the x0 factors that the
     # whole numerator shares with it cancel once, at the end.
     top = len(iterates) - 1
-    numerator = Polynomial.zero()
-    for k, dk in enumerate(iterates):
-        # (-x1/c)^k x0^(top-k) / k! as one term
+
+    def weight(k):
+        """(-x1/c)^k x0^(top-k) / k! as one term."""
         mono = tuple((xvar(v), e) for v, e in ((0, top - k), (1, k)) if e)
-        numerator = numerator + dk * Polynomial({mono: (-1 / c) ** k / factorial(k)})
+        return Polynomial({mono: (-1 / c) ** k / factorial(k)})
+
+    numerator = Polynomial.sum(dk * weight(k) for k, dk in enumerate(iterates))
     shared = min((dict(m).get(xvar(0), 0) for m, _ in numerator.terms()), default=top)
     shared = min(shared, top)
     if shared:

@@ -177,11 +177,11 @@ def i_element(n: int) -> Polynomial:
     """
     if n < 1:
         raise ValueError(f"i_element: n must be >= 1, got {n}")
-    total = Polynomial.zero()
-    for i in range(2 * n + 1):
-        term = Polynomial.var(xvar(i)) * Polynomial.var(xvar(2 * n - i))
-        total = total + term * ((-1) ** i * arith.binomial(2 * n, i))
-    total = total / 2
+    total = Polynomial.sum(
+        Polynomial.var(xvar(i)) * Polynomial.var(xvar(2 * n - i))
+        * ((-1) ** i * arith.binomial(2 * n, i))
+        for i in range(2 * n + 1)
+    ) / 2
     if not is_in_kernel(weitzenbock(2 * n), total):
         raise RuntimeError(f"I_{n} failed the Weitzenbock kernel post-check")
     return total

@@ -11,9 +11,11 @@ zero coefficients stored, so equality is structural.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import factorial
+from operator import mul
 
-# Codes for the Kravchuk arguments; any generator index stays far below.
+# Codes for the Kravchuk arguments; every generator index lies below X.
 X = 10**9
 A = 10**9 + 1
 
@@ -21,9 +23,9 @@ Monomial = tuple  # tuple[(var_code, exponent), ...]
 
 
 def xvar(i: int) -> int:
-    """Variable code for the generator x_i."""
-    if i < 0:
-        raise ValueError(f"generator index must be >= 0, got {i}")
+    """Variable code for the generator x_i, 0 <= i < X."""
+    if not 0 <= i < X:
+        raise ValueError(f"generator index must be in 0..{X - 1}, got {i}")
     return i
 
 
@@ -89,6 +91,20 @@ class Polynomial:
     def var(cls, code: int) -> "Polynomial":
         return cls({((code, 1),): Fraction(1)})
 
+    @staticmethod
+    def sum(parts) -> "Polynomial":
+        """The sum of polynomials and int/Fraction constants, accumulated
+        into one dict; parts is consumed as a stream."""
+        result: dict = {}
+        for part in parts:
+            terms = _coerce(part)._terms
+            if not result:
+                result.update(terms)
+                continue
+            for m, c in terms.items():
+                result[m] = result.get(m, 0) + c
+        return Polynomial(result)
+
     # -- inspection ---------------------------------------------------
 
     @property
@@ -126,17 +142,9 @@ class Polynomial:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (Polynomial, int, Fraction)):
             return NotImplemented
-        result = dict(self._terms)
-        for m, c in other._terms.items():
-            s = result.get(m, 0) + c
-            if s:
-                result[m] = s
-            else:
-                result.pop(m, None)
-        return Polynomial(result)
+        return Polynomial.sum((self, other))
 
     __radd__ = __add__
 
@@ -234,17 +242,11 @@ class Polynomial:
         if missing:
             names = ", ".join(var_name(v) for v in sorted(missing))
             raise KeyError(f"no substitution binding for variable(s): {names}")
-        powers: dict = {}
-        total = Polynomial.zero()
-        for m, c in self._terms.items():
-            term = None
-            for key in m:
-                if key not in powers:
-                    v, e = key
-                    powers[key] = images[v] ** e if e > 1 else images[v]
-                term = powers[key] if term is None else term * powers[key]
-            total = total + (Polynomial.constant(c) if term is None else term * c)
-        return total
+        keys = {key for m in self._terms for key in m}
+        powers = {(v, e): images[v] ** e if e > 1 else images[v] for v, e in keys}
+        return Polynomial.sum(
+            reduce(mul, (powers[key] for key in m), c) for m, c in self._terms.items()
+        )
 
     def __repr__(self):
         return f"Polynomial({render_text(self)})"

@@ -8,7 +8,12 @@ from fractions import Fraction
 from math import factorial
 
 from kravchuk_identities import arith, series
-from kravchuk_identities.derivations import dk1_power_coeff, kravchuk1, power_apply
+from kravchuk_identities.derivations import (
+    Derivation,
+    dk1_power_coeff,
+    kravchuk1,
+    power_apply,
+)
 from kravchuk_identities.identities import hankel
 from kravchuk_identities.intertwine import apply_psi, psi_ak1, psi_ak2
 from kravchuk_identities.kravchuk import kravchuk, phi_k
@@ -96,6 +101,43 @@ def conjecture2_double_sum(n: int) -> Polynomial:
     return _k_double_sum(
         n, lambda k, m: Fraction((-1) ** k * arith.stirling_first(m, k), factorial(m))
     )
+
+
+def apply_leibniz(D: Derivation, p: Polynomial) -> Polynomial:
+    """D(p) by the Leibniz rule, one monomial and one variable at a time:
+    c x^m goes to sum_v c e_v x^(m - e_v) D(x_v)."""
+    total = Polynomial.zero()
+    for mono, c in p.terms():
+        for v, e in mono:
+            image = D.images[v]
+            if image.is_zero:
+                continue
+            # c * e * v^(e-1) * (other factors) * D(v)
+            rest = dict(mono)
+            if e == 1:
+                del rest[v]
+            else:
+                rest[v] = e - 1
+            cof = Polynomial({tuple(sorted(rest.items())): c * e})
+            total = total + cof * image
+    return total
+
+
+def t_coeff_stirling(n: int, i: int) -> int:
+    """T(n,i) = sum_{j=i}^n (-1)^(j-i) 2^(n-j) j! S(n,j) C(j-1, i-1)."""
+    return sum(
+        (-1) ** (j - i)
+        * 2 ** (n - j)
+        * factorial(j)
+        * arith.stirling_second(n, j)
+        * arith.binomial(j - 1, i - 1)
+        for j in range(i, n + 1)
+    )
+
+
+def b_coeff_stirling(n: int, k: int) -> int:
+    """B(n,k) = k! S(n,k)."""
+    return factorial(k) * arith.stirling_second(n, k)
 
 
 def t_genfun_oracle(i: int, N: int) -> list:

@@ -80,6 +80,32 @@ def test_cli_parse_error_exit_code(capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identity", "verify", "x1000000000 - x"],
+        ["intertwine", "apply", "--map", "ak1", "x1000000001 - a"],
+    ],
+    ids=["x", "a"],
+)
+def test_cli_generator_index_cannot_alias_x_or_a(capsys, argv):
+    # The codes of x and a follow every generator code; an index that
+    # reaches them is a parse error, not a second spelling of x or a.
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse error at line 1, column 1: generator index")
+    assert captured.out == ""
+
+
+def test_cli_identity_expect_with_generator_is_a_usage_error(capsys):
+    # The phi_K image lies in Q[x,a]: an expectation naming a generator
+    # could only ever be "refuted" (exit 1).
+    assert run(["identity", "verify", "x0", "--expect", "x0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --expect")
+    assert captured.out == ""
+
+
 def test_cli_identity_verify(capsys):
     code = run(["identity", "verify", "x1^2 - 2*x2*x0", "--expect", "a"])
     out = capsys.readouterr().out

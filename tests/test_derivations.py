@@ -19,10 +19,10 @@ from kravchuk_identities.derivations import (
     power_apply,
     weitzenbock,
 )
-from kravchuk_identities.poly import Polynomial, xvar
+from kravchuk_identities.poly import A, X, Polynomial, xvar
 
 from conftest import polynomials
-from oracles import dk1_scale_by_iteration
+from oracles import apply_leibniz, dk1_scale_by_iteration
 
 x0, x1, x2, x3, x4, x5 = (Polynomial.var(xvar(i)) for i in range(6))
 
@@ -48,8 +48,16 @@ def test_apply_constant_and_weitzenbock():
 
 
 def test_apply_out_of_range():
-    with pytest.raises(ValueError):
-        apply(kravchuk1(2), x3)
+    for p in (x3, x1 * x3, Polynomial.var(X), x0 + Polynomial.var(A)):
+        with pytest.raises(ValueError):
+            apply(kravchuk1(2), p)
+
+
+@given(polynomials(max_var=6, max_exp=3))
+@settings(max_examples=40, deadline=None)
+def test_apply_matches_leibniz_oracle(p):
+    for D in (weitzenbock(6), kravchuk1(6), kravchuk2(6)):
+        assert apply(D, p) == apply_leibniz(D, p)
 
 
 def test_power_apply():

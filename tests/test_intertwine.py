@@ -1,8 +1,9 @@
 import math
+import sys
 
 import pytest
 
-from kravchuk_identities.arith import stirling_second
+from kravchuk_identities import intertwine
 from kravchuk_identities.derivations import apply, is_in_kernel, kravchuk1, kravchuk2, weitzenbock
 from kravchuk_identities.intertwine import (
     apply_psi,
@@ -13,7 +14,7 @@ from kravchuk_identities.intertwine import (
 )
 from kravchuk_identities.poly import Polynomial, xvar
 
-from oracles import b_genfun_oracle, t_genfun_oracle
+from oracles import b_coeff_stirling, b_genfun_oracle, t_coeff_stirling, t_genfun_oracle
 
 x0, x1, x2, x3, x4, x5, x6 = (Polynomial.var(xvar(i)) for i in range(7))
 
@@ -40,9 +41,33 @@ def test_b_coeff_examples():
     assert b_coeff(4, 2) == 14
     assert b_coeff(4, 3) == 36
     assert b_coeff(6, 5) == 1800
-    for n in range(1, 13):
-        for k in range(1, n + 1):
-            assert b_coeff(n, k) == math.factorial(k) * stirling_second(n, k)
+    with pytest.raises(ValueError):
+        b_coeff(3, 4)
+
+
+def test_coeffs_match_stirling_sums():
+    for n in range(1, 31):
+        for i in range(1, n + 1):
+            assert t_coeff(n, i) == t_coeff_stirling(n, i)
+            assert b_coeff(n, i) == b_coeff_stirling(n, i)
+
+
+def test_cold_coeff_rows_recursion_depth_is_bounded():
+    # A cold row must fill the cache from the bottom instead of recursing
+    # n calls deep: allow only ~20 frames above the caller's depth.
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    intertwine._row.cache_clear()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        t, b = t_coeff(60, 60), b_coeff(60, 60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert t == b == math.factorial(60)
 
 
 def test_genfun_oracles():

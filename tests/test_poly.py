@@ -23,11 +23,40 @@ x = Polynomial.var(X)
 a = Polynomial.var(A)
 
 
+def test_xvar_range():
+    assert xvar(X - 1) == X - 1
+    for bad in (-1, X, A):
+        with pytest.raises(ValueError):
+            xvar(bad)
+
+
 def test_add_identity_and_cancellation():
     p = x1**2 - 2 * x2 * x0
     assert p + Polynomial.zero() == p
     assert x1 + (-x1) == Polynomial.zero()
     assert x1**2 + 2 * x1**2 == 3 * x1**2
+
+
+def test_sum():
+    assert Polynomial.sum([]) == Polynomial.zero()
+    cancelled = Polynomial.sum([x1**2 - x0, x0 + 2, -(x1**2), -2])
+    assert cancelled.is_zero and cancelled == Polynomial.zero()
+    assert list(Polynomial.sum([x1, x2, -x1]).terms()) == list(x2.terms())
+    assert Polynomial.sum([x0, 3, Fraction(-1, 2)]) == x0 + Fraction(5, 2)
+    assert Polynomial.sum([1, Fraction(1, 2)]) == Polynomial.constant(Fraction(3, 2))
+    parts = (x0 * i for i in range(4))
+    assert Polynomial.sum(parts) == 6 * x0
+    assert next(parts, None) is None
+
+
+@given(st.lists(polynomials(max_terms=3), max_size=6))
+@settings(max_examples=50, deadline=None)
+def test_sum_is_a_left_fold_of_add(parts):
+    folded = Polynomial.zero()
+    for p in parts:
+        folded = folded + p
+    assert Polynomial.sum(parts) == folded
+    assert Polynomial.sum(iter(parts)) == folded
 
 
 def test_mul():
