@@ -4,15 +4,18 @@ Variables are integer codes: the generator x_i is the code i, and the two
 Kravchuk arguments come after every generator in the variable order
 x0 < x1 < ... < x < a.  Monomials are sorted tuples of (code, exponent)
 pairs with all exponents >= 1; the empty tuple is the unit monomial.
-Polynomials are immutable wrappers around {monomial: Fraction} with no
-zero coefficients stored, so equality is structural.
+A polynomial is stored as {monomial: nonzero int numerator} over one
+positive int denominator, with gcd(denominator, *numerators) == 1 and
+denominator 1 for zero.  The form is canonical, so equality and hashing are
+structural, and products and sums run on ints.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from functools import reduce
-from math import factorial
+from math import factorial, gcd, lcm
 from operator import mul
 
 # Codes for the Kravchuk arguments; every generator index lies below X.
@@ -67,21 +70,38 @@ def mono_div(m2: Monomial, m1: Monomial) -> Monomial:
 
 
 class Polynomial:
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_den", "_hash")
 
     def __init__(self, terms: dict):
-        self._terms = {m: c for m, c in terms.items() if c}
+        """From {monomial: int | Fraction}, over the lcm of the denominators."""
+        den = lcm(*(c.denominator for c in terms.values()))
+        self._terms = {
+            m: c.numerator * (den // c.denominator) for m, c in terms.items() if c
+        }
+        self._den = den if self._terms else 1
         self._hash = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _make(cls, terms: dict, den: int = 1) -> "Polynomial":
+        """From nonzero int numerators over den > 0, divided by their gcd."""
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {m: c // g for m, c in terms.items()}
+                den //= g
+        p = cls.__new__(cls)
+        p._terms, p._den, p._hash = terms, den, None
+        return p
+
+    @classmethod
     def zero(cls) -> "Polynomial":
-        return cls({})
+        return cls._make({})
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls({(): Fraction(1)})
+        return cls._make({(): 1})
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
@@ -89,21 +109,31 @@ class Polynomial:
 
     @classmethod
     def var(cls, code: int) -> "Polynomial":
-        return cls({((code, 1),): Fraction(1)})
+        return cls._make({((code, 1),): 1})
 
     @staticmethod
     def sum(parts) -> "Polynomial":
         """The sum of polynomials and int/Fraction constants, accumulated
-        into one dict; parts is consumed as a stream."""
+        into one dict of numerators over the lcm of the denominators seen so
+        far; parts is consumed as a stream."""
         result: dict = {}
+        den = 1
         for part in parts:
-            terms = _coerce(part)._terms
+            part = _coerce(part)
+            terms, d = part._terms, part._den
+            if den % d:
+                scale = lcm(den, d) // den
+                for m in result:
+                    result[m] *= scale
+                den *= scale
+            if den != d:
+                terms = {m: c * (den // d) for m, c in terms.items()}
             if not result:
                 result.update(terms)
                 continue
             for m, c in terms.items():
                 result[m] = result.get(m, 0) + c
-        return Polynomial(result)
+        return Polynomial._make({m: c for m, c in result.items() if c}, den)
 
     # -- inspection ---------------------------------------------------
 
@@ -118,13 +148,14 @@ class Polynomial:
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("polynomial is not a constant")
-        return self._terms.get((), Fraction(0))
+        return Fraction(self._terms.get((), 0), self._den)
 
     def terms(self):
-        return self._terms.items()
+        """(monomial, Fraction coefficient) pairs in insertion order."""
+        return ((m, Fraction(c, self._den)) for m, c in self._terms.items())
 
     def coeff(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+        return Fraction(self._terms.get(mono, 0), self._den)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -149,7 +180,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self._terms.items()})
+        return Polynomial._make({m: -c for m, c in self._terms.items()}, self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -164,29 +195,33 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero()
-            return Polynomial({m: c * other for m, c in self._terms.items()})
+            num = other.numerator
+            terms = {m: c * num for m, c in self._terms.items()}
+            return Polynomial._make(terms, self._den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
         result: dict = {}
+        get = result.get
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 m = mono_mul(m1, m2)
-                s = result.get(m, 0) + c1 * c2
+                s = get(m, 0) + c1 * c2
                 if s:
                     result[m] = s
                 else:
                     del result[m]
-        return Polynomial(result)
+        return Polynomial._make(result, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            d = Fraction(other)
-            return Polynomial({m: c / d for m, c in self._terms.items()})
+            inverse = 1 / Fraction(other)
+            terms = {m: c * inverse.numerator for m, c in self._terms.items()}
+            return Polynomial._make(terms, self._den * inverse.denominator)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -208,11 +243,11 @@ class Polynomial:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((frozenset(self._terms.items()), self._den))
         return self._hash
 
     # -- calculus & substitution --------------------------------------
@@ -229,7 +264,7 @@ class Polynomial:
             else:
                 d[code] = e - 1
             result[tuple(sorted(d.items()))] = c * e
-        return Polynomial(result)
+        return Polynomial._make(result, self._den)
 
     def substitute(self, bindings: dict) -> "Polynomial":
         """Ring-homomorphism image under var code -> Polynomial bindings.
@@ -244,9 +279,10 @@ class Polynomial:
             raise KeyError(f"no substitution binding for variable(s): {names}")
         keys = {key for m in self._terms for key in m}
         powers = {(v, e): images[v] ** e if e > 1 else images[v] for v, e in keys}
-        return Polynomial.sum(
+        total = Polynomial.sum(
             reduce(mul, (powers[key] for key in m), c) for m, c in self._terms.items()
         )
+        return Polynomial._make(total._terms, total._den * self._den)
 
     def __repr__(self):
         return f"Polynomial({render_text(self)})"
@@ -273,14 +309,14 @@ def _sorted_terms(p: Polynomial):
     varlist = sorted(p.variables())
     index = {v: i for i, v in enumerate(varlist)}
 
-    def key(item):
-        m, _ = item
+    def key(m):
         vec = [0] * len(varlist)
         for v, e in m:
             vec[index[v]] = e
         return (-mono_deg(m), tuple(vec))
 
-    return sorted(p.terms(), key=key)
+    terms, den = p._terms, p._den
+    return ((m, Fraction(terms[m], den)) for m in sorted(terms, key=key))
 
 
 def _coeff_text(c: Fraction) -> str:
@@ -366,38 +402,57 @@ def binom_poly(arg, i: int) -> Polynomial:
 # -- exact division and determinants -----------------------------------
 
 
-def _leading(p: Polynomial, varlist, index):
-    best = None
-    best_key = None
-    for m, c in p.terms():
-        vec = [0] * len(varlist)
-        for v, e in m:
-            vec[index[v]] = e
-        key = (mono_deg(m), tuple(vec))
-        if best_key is None or key > best_key:
-            best_key, best = key, (m, c)
-    return best
-
-
 def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact polynomial quotient p / q; raises if q does not divide p."""
+    """Exact polynomial quotient p / q; raises if q does not divide p.
+
+    Sparse division as in Monagan and Pearce (J. Symbolic Comput. 46, 2011):
+    the remainder is one dict updated in place, and its leading monomial
+    comes off a priority queue of graded-lex keys (a list kept sorted with
+    bisect); monomials that cancelled after they were queued are skipped.
+    p's numerators are divided by the primitive part of q's, so by Gauss's
+    lemma every quotient coefficient is an integer when the division is exact.
+    """
     if q.is_zero:
         raise ZeroDivisionError("exact_div by zero polynomial")
     if q.is_constant:
         return p / q.constant_value()
-    varlist = sorted(p.variables() | q.variables())
-    index = {v: i for i, v in enumerate(varlist)}
-    lt_q_mono, lt_q_coeff = _leading(q, varlist, index)
-    quotient = Polynomial.zero()
-    remainder = p
-    while not remainder.is_zero:
-        lt_r_mono, lt_r_coeff = _leading(remainder, varlist, index)
-        if not mono_divides(lt_q_mono, lt_r_mono):
+    index = {v: i for i, v in enumerate(sorted(p.variables() | q.variables()))}
+
+    def key(m):
+        vec = [0] * len(index)
+        for v, e in m:
+            vec[index[v]] = e
+        return (mono_deg(m), vec)
+
+    content = gcd(*q._terms.values())
+    divisor = {m: c // content for m, c in q._terms.items()}
+    lead = max(divisor, key=key)
+    lead_c = divisor.pop(lead)
+    remainder = dict(p._terms)
+    queue = sorted((key(m), m) for m in remainder)
+    quotient = {}
+    while queue:
+        m = queue.pop()[1]
+        c = remainder.pop(m, 0)
+        if not c:
+            continue
+        t, r = divmod(c, lead_c)
+        if r or not mono_divides(lead, m):
             raise ValueError("exact_div: division is not exact")
-        t = Polynomial({mono_div(lt_r_mono, lt_q_mono): lt_r_coeff / lt_q_coeff})
-        quotient = quotient + t
-        remainder = remainder - t * q
-    return quotient
+        tm = mono_div(m, lead)
+        quotient[tm] = t
+        for m2, c2 in divisor.items():
+            m3 = mono_mul(tm, m2)
+            s = remainder.get(m3, 0) - t * c2
+            if not s:
+                del remainder[m3]
+                continue
+            if m3 not in remainder:
+                insort(queue, (key(m3), m3))
+            remainder[m3] = s
+    return Polynomial._make(
+        {m: c * q._den for m, c in quotient.items()}, content * p._den
+    )
 
 
 def determinant(matrix) -> Polynomial:

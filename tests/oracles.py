@@ -17,7 +17,50 @@ from kravchuk_identities.derivations import (
 from kravchuk_identities.identities import hankel
 from kravchuk_identities.intertwine import apply_psi, psi_ak1, psi_ak2
 from kravchuk_identities.kravchuk import kravchuk, phi_k
-from kravchuk_identities.poly import A, X, Polynomial, binom_poly, xvar
+from kravchuk_identities.poly import A, X, Polynomial, binom_poly, mono_mul, xvar
+
+
+def mul_fraction_terms(a: dict, b: dict) -> dict:
+    """The product of two {monomial: Fraction} dicts, one Fraction per term,
+    with no common denominator; terms come out in Polynomial's order."""
+    if len(a) > len(b):
+        a, b = b, a
+    result: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            s = result.get(m, 0) + c1 * c2
+            if s:
+                result[m] = s
+            else:
+                del result[m]
+    return result
+
+
+def sum_fraction_terms(parts) -> dict:
+    """The sum of {monomial: Fraction} dicts accumulated into one dict, one
+    Fraction per term; terms come out in Polynomial.sum's order."""
+    result: dict = {}
+    for terms in parts:
+        if not result:
+            result.update(terms)
+            continue
+        for m, c in terms.items():
+            result[m] = result.get(m, 0) + c
+    return {m: c for m, c in result.items() if c}
+
+
+def substitute_fraction_terms(terms: dict, images: dict) -> dict:
+    """The image of a {monomial: Fraction} dict under var code -> image
+    dict, one product of images per term and power."""
+    parts = []
+    for m, c in terms.items():
+        product = {(): Fraction(c)}
+        for v, e in m:
+            for _ in range(e):
+                product = mul_fraction_terms(product, images[v])
+        parts.append(product)
+    return sum_fraction_terms(parts)
 
 
 def kravchuk_binomial_sum(n: int) -> Polynomial:

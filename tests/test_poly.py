@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,13 @@ from kravchuk_identities.poly import (
     xvar,
 )
 
-from conftest import polynomials
-from oracles import determinant_laplace
+from conftest import polynomials, small_fractions
+from oracles import (
+    determinant_laplace,
+    mul_fraction_terms,
+    substitute_fraction_terms,
+    sum_fraction_terms,
+)
 
 x0, x1, x2, x3 = (Polynomial.var(xvar(i)) for i in range(4))
 x = Polynomial.var(X)
@@ -121,6 +127,10 @@ def test_exact_div():
     assert exact_div(p, (x0 + x1) ** 2) == (x0 + x1) * (x2 - 2)
     with pytest.raises(ValueError):
         exact_div(x0 * x1 + 1, x0)
+    # the leading monomial divides, but 1/2 is not an integer quotient
+    assert exact_div(x1 * (x0 + 1) * (2 * x0 + 3) / 5, 2 * x0 + 3) == x1 * (x0 + 1) / 5
+    with pytest.raises(ValueError):
+        exact_div(x0, 2 * x0 + 3)
 
 
 @given(polynomials(), polynomials(), polynomials())
@@ -222,3 +232,123 @@ def test_render_latex_golden():
     from kravchuk_identities.poly import render_latex
 
     assert render_latex(x1**2 - 2 * x2 * x0) == "x_{1}^{2} - 2\\,x_{0}x_{2}"
+
+
+# -- integer numerators over one denominator, against Fraction terms ---
+
+CODES = (xvar(0), xvar(1), xvar(2), xvar(3), X, A)
+
+
+@st.composite
+def fraction_terms(draw, max_terms=4):
+    """{monomial: Fraction} over x0..x3, x and a with denominators up to 12;
+    a coefficient may be 0."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = draw(st.lists(st.integers(0, 2), min_size=6, max_size=6))
+        mono = tuple((v, e) for v, e in zip(CODES, exps) if e)
+        terms[mono] = draw(st.fractions(-30, 30, max_denominator=12))
+    return terms
+
+
+def rational_polynomials(max_terms=4):
+    return fraction_terms(max_terms).map(Polynomial)
+
+
+def assert_canonical(p):
+    nums = list(p._terms.values())
+    assert all(type(c) is int and c for c in nums)
+    assert type(p._den) is int and p._den >= 1
+    assert gcd(p._den, *nums) == 1
+    assert all(type(c) is Fraction for _, c in p.terms())
+
+
+@given(fraction_terms())
+@settings(max_examples=100, deadline=None)
+def test_constructor_keeps_nonzero_fraction_terms(terms):
+    p = Polynomial(terms)
+    assert_canonical(p)
+    assert list(p.terms()) == [(m, c) for m, c in terms.items() if c]
+
+
+@given(rational_polynomials(), rational_polynomials())
+@settings(max_examples=100, deadline=None)
+def test_product_matches_fraction_terms(p, q):
+    product = p * q
+    assert_canonical(product)
+    expected = mul_fraction_terms(dict(p.terms()), dict(q.terms()))
+    # the same terms in the same insertion order
+    assert list(product.terms()) == list(expected.items())
+
+
+@given(st.lists(rational_polynomials(), max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_sum_matches_fraction_terms(parts):
+    total = Polynomial.sum(parts)
+    assert_canonical(total)
+    expected = sum_fraction_terms(dict(p.terms()) for p in parts)
+    assert list(total.terms()) == list(expected.items())
+
+
+@given(rational_polynomials(), small_fractions, st.integers(-6, 6))
+@settings(max_examples=100, deadline=None)
+def test_scalar_ops_diff_match_fraction_terms(p, f, n):
+    terms = dict(p.terms())
+    for s in (f, n):
+        assert_canonical(p * s)
+        assert dict((p * s).terms()) == {m: c * s for m, c in terms.items() if c * s}
+    assert_canonical(p / f)
+    assert dict((p / f).terms()) == {m: c / f for m, c in terms.items()}
+    assert_canonical(-p)
+    assert dict((-p).terms()) == {m: -c for m, c in terms.items()}
+    for v in CODES:
+        expected = {}
+        for m, c in terms.items():
+            d = dict(m)
+            if d.get(v):
+                e = d.pop(v)
+                if e > 1:
+                    d[v] = e - 1
+                expected[tuple(sorted(d.items()))] = c * e
+        assert_canonical(p.diff(v))
+        assert dict(p.diff(v).terms()) == expected
+
+
+@given(
+    rational_polynomials(max_terms=3),
+    st.lists(rational_polynomials(max_terms=2), min_size=6, max_size=6),
+)
+@settings(max_examples=50, deadline=None)
+def test_substitute_matches_fraction_terms(p, images):
+    bindings = dict(zip(CODES, images))
+    image = p.substitute(bindings)
+    assert_canonical(image)
+    expected = substitute_fraction_terms(
+        dict(p.terms()), {v: dict(q.terms()) for v, q in bindings.items()}
+    )
+    assert dict(image.terms()) == expected
+
+
+@given(rational_polynomials(), rational_polynomials(), rational_polynomials())
+@settings(max_examples=50, deadline=None)
+def test_equal_routes_hash_equal(p, q, r):
+    assert hash((p + q) * r) == hash(p * r + q * r)
+    assert hash(Polynomial(dict(p.terms()))) == hash(p)
+    assert hash(p * Fraction(2, 3) / Fraction(2, 3)) == hash(p)
+    assert hash(p - p) == hash(Polynomial.zero())
+    assert (p - p)._den == 1
+    # equal numerators over another denominator are another polynomial
+    assert p.is_zero or p / 2 != p
+
+
+@given(rational_polynomials(max_terms=3), rational_polynomials(max_terms=3))
+@settings(max_examples=50, deadline=None)
+def test_exact_div_inverts_product(p, q):
+    if q.is_zero:
+        return
+    quotient = exact_div(p * q, q)
+    assert_canonical(quotient)
+    assert quotient == p
+    if not q.is_constant:
+        with pytest.raises(ValueError):
+            exact_div(p * q + 1, q)
