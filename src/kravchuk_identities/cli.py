@@ -7,6 +7,7 @@ Grammar:
     base     := rational | var | '(' expr ')' | '-' factor
     var      := 'x' digits | 'x' | 'a'
     rational := digits ('/' digits)?
+    digits   := [0-9]+
 
 Implicit multiplication is not allowed, and '(' and unary '-' nest at
 most MAX_NESTING deep. Exit codes: 0 all verified, 1 any refuted, 2 usage,
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -37,58 +39,33 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Tokenizer:
+# One token per match; digits are ASCII only, so every "num" token is an int
+# literal, and any other character falls through to "bad".
+_TOKEN = re.compile(
+    r"(?P<space>\s+)|(?P<num>[0-9]+)|(?P<var>x[0-9]*|a)|(?P<op>[-+*^/()])|(?P<bad>.)"
+)
+
+
+class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
         self.tokens = []
-        self._scan()
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "space":
+                continue
+            if kind == "bad":
+                raise self._error(f"unexpected character {m[0]!r}", m.start())
+            self.tokens.append((m[0] if kind == "op" else kind, m[0], m.start()))
+        self.tokens.append(("end", "", len(text)))
         self.index = 0
+        self.depth = 0
 
-    def _error(self, msg):
-        raise ParseError(msg, self.line, self.col)
-
-    def _scan(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch == "\n":
-                self.pos += 1
-                self.line += 1
-                self.col = 1
-                continue
-            if ch.isspace():
-                self.pos += 1
-                self.col += 1
-                continue
-            start_line, start_col = self.line, self.col
-            if ch.isdigit():
-                j = self.pos
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("num", text[self.pos : j], start_line, start_col))
-                self.col += j - self.pos
-                self.pos = j
-            elif ch == "x":
-                j = self.pos + 1
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("var", text[self.pos : j], start_line, start_col))
-                self.col += j - self.pos
-                self.pos = j
-            elif ch == "a":
-                self.tokens.append(("var", "a", start_line, start_col))
-                self.pos += 1
-                self.col += 1
-            elif ch in "+-*^/()":
-                self.tokens.append((ch, ch, start_line, start_col))
-                self.pos += 1
-                self.col += 1
-            else:
-                self._error(f"unexpected character {ch!r}")
-        self.tokens.append(("end", "", self.line, self.col))
+    def _error(self, message: str, offset: int) -> ParseError:
+        """A ParseError at the 1-based line and column of offset."""
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        line = self.text.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - line_start + 1)
 
     def peek(self):
         return self.tokens[self.index]
@@ -99,17 +76,11 @@ class _Tokenizer:
             self.index += 1
         return tok
 
-
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _Tokenizer(text)
-        self.depth = 0
-
     def parse(self) -> Polynomial:
         p = self._expr()
-        kind, value, line, col = self.toks.peek()
+        kind, value, offset = self.peek()
         if kind != "end":
-            raise ParseError(f"unexpected token {value!r}", line, col)
+            raise self._error(f"unexpected token {value!r}", offset)
         return p
 
     def _expr(self) -> Polynomial:
@@ -117,44 +88,42 @@ class _Parser:
 
     def _signed_terms(self):
         yield self._term()
-        while self.toks.peek()[0] in "+-":
-            op = self.toks.next()[0]
+        while self.peek()[0] in "+-":
+            op = self.next()[0]
             q = self._term()
             yield q if op == "+" else -q
 
     def _term(self) -> Polynomial:
         p = self._factor()
-        while self.toks.peek()[0] == "*":
-            self.toks.next()
+        while self.peek()[0] == "*":
+            self.next()
             p = p * self._factor()
         return p
 
     def _factor(self) -> Polynomial:
         p = self._base()
-        if self.toks.peek()[0] == "^":
-            self.toks.next()
-            kind, value, line, col = self.toks.next()
+        if self.peek()[0] == "^":
+            self.next()
+            kind, value, offset = self.next()
             if kind != "num":
-                raise ParseError(
-                    "exponent must be a non-negative integer literal", line, col
-                )
+                raise self._error("exponent must be a non-negative integer literal", offset)
             e = int(value)
             if e > MAX_EXPONENT:
-                raise ParseError(f"exponent {e} exceeds limit {MAX_EXPONENT}", line, col)
+                raise self._error(f"exponent {e} exceeds limit {MAX_EXPONENT}", offset)
             p = p**e
         return p
 
     def _base(self) -> Polynomial:
-        kind, value, line, col = self.toks.next()
+        kind, value, offset = self.next()
         if kind == "num":
             numerator = int(value)
-            if self.toks.peek()[0] == "/":
-                self.toks.next()
-                dkind, dvalue, dline, dcol = self.toks.next()
+            if self.peek()[0] == "/":
+                self.next()
+                dkind, dvalue, doffset = self.next()
                 if dkind != "num":
-                    raise ParseError("expected denominator digits", dline, dcol)
+                    raise self._error("expected denominator digits", doffset)
                 if int(dvalue) == 0:
-                    raise ParseError("zero denominator", dline, dcol)
+                    raise self._error("zero denominator", doffset)
                 return Polynomial.constant(Fraction(numerator, int(dvalue)))
             return Polynomial.constant(numerator)
         if kind == "var":
@@ -165,17 +134,17 @@ class _Parser:
             try:
                 return Polynomial.var(xvar(int(value[1:])))
             except ValueError as exc:
-                raise ParseError(str(exc), line, col) from None
+                raise self._error(str(exc), offset) from None
         if kind not in ("(", "-"):
-            raise ParseError(f"unexpected token {value!r}", line, col)
+            raise self._error(f"unexpected token {value!r}", offset)
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING}", line, col)
+            raise self._error(f"nesting deeper than {MAX_NESTING}", offset)
         if kind == "(":
             p = self._expr()
-            ckind, cvalue, cline, ccol = self.toks.next()
+            ckind, _, coffset = self.next()
             if ckind != ")":
-                raise ParseError("expected ')'", cline, ccol)
+                raise self._error("expected ')'", coffset)
         else:
             p = -self._factor()
         self.depth -= 1
@@ -198,16 +167,12 @@ def render(p: Polynomial, fmt: str = "text") -> str:
 
 # -- dispatch -----------------------------------------------------------
 
-_DERIVATION_KINDS = {"w": "weitzenbock", "k1": "kravchuk1", "k2": "kravchuk2"}
-
-
-def _build_derivation(kind: str, N: int):
-    return derivations.build(_DERIVATION_KINDS[kind], max(N, 1))
-
-
-def _max_generator(p: Polynomial) -> int:
-    indexed = [v for v in p.variables() if v not in (X, A)]
-    return max(indexed, default=0)
+_DERIVATIONS = {
+    "w": derivations.weitzenbock,
+    "k1": derivations.kravchuk1,
+    "k2": derivations.kravchuk2,
+}
+_PSI_MAPS = {"ak1": intertwine.psi_ak1, "ak2": intertwine.psi_ak2}
 
 
 def _make_argparser() -> argparse.ArgumentParser:
@@ -316,13 +281,11 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "derivation":
         p = parse_expr(args.expr)
-        D = _build_derivation(args.kind, _max_generator(p))
-        print(render_text(derivations.apply(D, p)))
+        print(render_text(derivations.apply(_DERIVATIONS[args.kind], p)))
         return 0
     if cmd == "kernel":
         p = parse_expr(args.expr)
-        D = _build_derivation(args.derivation, _max_generator(p))
-        ok = derivations.is_in_kernel(D, p)
+        ok = derivations.is_in_kernel(_DERIVATIONS[args.derivation], p)
         print(f"in kernel: {'true' if ok else 'false'}")
         return 0 if ok else 1
     if cmd == "cayley":
@@ -333,15 +296,12 @@ def _dispatch(args) -> int:
             print(f"{render_text(c.polynomial)}   [scalar {c.scale}]")
         return 0
     if cmd == "sigma":
-        kind = _DERIVATION_KINDS[args.derivation]
-        D = derivations.build(kind, max(args.n, 1))
-        sigma = derivations.dixmier_sigma(D, args.n)
+        sigma = derivations.dixmier_sigma(_DERIVATIONS[args.derivation], args.n)
         print(repr(sigma))
         return 0
     if cmd == "intertwine":
         p = parse_expr(args.expr)
-        psi = intertwine.build_psi(args.psi_map, max(_max_generator(p), 1))
-        print(render_text(intertwine.apply_psi(psi, p)))
+        print(render_text(intertwine.apply_psi(_PSI_MAPS[args.psi_map], p)))
         return 0
     if cmd == "identity":
         p = parse_expr(args.expr)

@@ -1,6 +1,11 @@
-"""Triangular derivations of Q[x0..xN]: the basic Weitzenbock derivation and
-the two Kravchuk derivations, with iterated powers, closed-form power
-coefficients, the Dixmier map and the Cayley kernel elements.
+"""Triangular derivations of Q[x0, x1, ...]: the basic Weitzenbock
+derivation and the two Kravchuk derivations, with iterated powers,
+closed-form power coefficients, the Dixmier map and the Cayley kernel
+elements.
+
+A derivation is the function n -> D(x_n), cached.  Each image uses only
+the x_j with j < n, so the images of the generators an input uses fix D on
+it, and no ring size is chosen.
 """
 
 from __future__ import annotations
@@ -11,81 +16,38 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 
 from . import arith
-from .poly import Polynomial, mono_div, var_name, xvar
-
-
-@dataclass(frozen=True)
-class Derivation:
-    """Images[i] = D(x_i); triangular (D(x_i) uses only x_j, j < i)."""
-
-    name: str
-    images: tuple
-
-    @property
-    def max_index(self) -> int:
-        return len(self.images) - 1
-
-
-def build(kind: str, N: int) -> Derivation:
-    """The three named derivations on Q[x0..xN]."""
-    if N < 1:
-        raise ValueError(f"build: N must be >= 1, got {N}")
-    images = [Polynomial.zero()]
-    if kind == "weitzenbock":
-        for n in range(1, N + 1):
-            images.append(Polynomial.var(xvar(n - 1)) * n)
-    elif kind == "kravchuk1":
-        # D(x_n) = sum_{i=1}^n (1-(-1)^i)/(2i) x_{n-i}  (odd i only)
-        for n in range(1, N + 1):
-            images.append(
-                Polynomial.sum(
-                    Polynomial.var(xvar(n - i)) * Fraction(1, i) for i in range(1, n + 1, 2)
-                )
-            )
-    elif kind == "kravchuk2":
-        # D(x_n) = sum_{i=0}^{n-1} (-1)^(n+1+i)/(n-i) x_i
-        for n in range(1, N + 1):
-            images.append(
-                Polynomial.sum(
-                    Polynomial.var(xvar(i)) * Fraction((-1) ** (n + 1 + i), n - i)
-                    for i in range(n)
-                )
-            )
-    else:
-        raise ValueError(f"unknown derivation kind: {kind!r}")
-    return Derivation(kind, tuple(images))
+from .poly import Polynomial, generators, mono_div, xvar
 
 
 @lru_cache(maxsize=None)
-def _cached(kind: str, N: int) -> Derivation:
-    return build(kind, N)
+def weitzenbock(n: int) -> Polynomial:
+    """W(x_n) = n x_{n-1}, W(x_0) = 0."""
+    return Polynomial.var(xvar(n - 1)) * n if n else Polynomial.zero()
 
 
-def weitzenbock(N: int) -> Derivation:
-    return _cached("weitzenbock", N)
+@lru_cache(maxsize=None)
+def kravchuk1(n: int) -> Polynomial:
+    """D_K1(x_n) = sum_{i=1}^n (1-(-1)^i)/(2i) x_{n-i}  (odd i only)."""
+    return Polynomial.sum(
+        Polynomial.var(xvar(n - i)) * Fraction(1, i) for i in range(1, n + 1, 2)
+    )
 
 
-def kravchuk1(N: int) -> Derivation:
-    return _cached("kravchuk1", N)
+@lru_cache(maxsize=None)
+def kravchuk2(n: int) -> Polynomial:
+    """D_K2(x_n) = sum_{i=0}^{n-1} (-1)^(n+1+i)/(n-i) x_i."""
+    return Polynomial.sum(
+        Polynomial.var(xvar(i)) * Fraction((-1) ** (n + 1 + i), n - i) for i in range(n)
+    )
 
 
-def kravchuk2(N: int) -> Derivation:
-    return _cached("kravchuk2", N)
-
-
-def apply(D: Derivation, p: Polynomial) -> Polynomial:
+def apply(D, p: Polynomial) -> Polynomial:
     """D(p) = sum_v dp/dx_v * D(x_v): a derivation is fixed by the images
     of the generators."""
-    variables = p.variables()
-    for v in variables:
-        if v > D.max_index:
-            raise ValueError(
-                f"variable {var_name(v)} out of range for {D.name} on x0..x{D.max_index}"
-            )
-    return Polynomial.sum(p.diff(v) * D.images[v] for v in variables)
+    return Polynomial.sum(p.diff(v) * D(v) for v in generators(p))
 
 
-def power_apply(D: Derivation, p: Polynomial, k: int) -> Polynomial:
+def power_apply(D, p: Polynomial, k: int) -> Polynomial:
     """k-fold application of D; D^0 is the identity."""
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -96,7 +58,7 @@ def power_apply(D: Derivation, p: Polynomial, k: int) -> Polynomial:
     return p
 
 
-def is_in_kernel(D: Derivation, p: Polynomial) -> bool:
+def is_in_kernel(D, p: Polynomial) -> bool:
     return apply(D, p).is_zero
 
 
@@ -154,15 +116,15 @@ class Sigma:
         return f"({self.numerator}) / x0^{self.power}"
 
 
-def dixmier_sigma(D: Derivation, i: int) -> Sigma:
+def dixmier_sigma(D, i: int) -> Sigma:
     """sigma(x_i) = sum_k D^k(x_i) lambda^k / k! on the slice
     lambda = -x1/(c x0), where D(x1) = c x0; a kernel element of the ring
     localized at x0."""
     x0 = Polynomial.var(xvar(0))
     dx1 = apply(D, Polynomial.var(xvar(1)))
     c = dx1.coeff(((xvar(0), 1),))
-    if not c or dx1 != x0 * c or not D.images[0].is_zero:
-        raise ValueError(f"sigma needs D(x0) = 0 and D(x1) = c*x0, c != 0 ({D.name})")
+    if not c or dx1 != x0 * c or not D(0).is_zero:
+        raise ValueError(f"sigma needs D(x0) = 0 and D(x1) = c*x0, c != 0 ({D.__name__})")
     iterates = []
     dk = Polynomial.var(xvar(i))
     while not dk.is_zero:
@@ -191,8 +153,7 @@ def cayley_k1(n: int) -> Polynomial:
     """C_n = n (n-2)! x_0^(n-1) sigma(x_n) for the first Kravchuk derivation."""
     if n < 2:
         raise ValueError(f"cayley_k1: n must be >= 2, got {n}")
-    D = kravchuk1(n)
-    sigma = dixmier_sigma(D, n)
+    sigma = dixmier_sigma(kravchuk1, n)
     if sigma.power > n - 1:
         raise ValueError("sigma denominator exceeds x0^(n-1)")
     cleared = sigma.numerator * Polynomial.var(xvar(0)) ** (n - 1 - sigma.power)
@@ -212,8 +173,7 @@ class CayleyK2:
 def cayley_k2(n: int) -> CayleyK2:
     if n < 2:
         raise ValueError(f"cayley_k2: n must be >= 2, got {n}")
-    D = kravchuk2(n)
-    sigma = dixmier_sigma(D, n)
+    sigma = dixmier_sigma(kravchuk2, n)
     num, power = sigma.numerator, sigma.power
     coeffs = [c for _, c in num.terms()]
     content = Fraction(

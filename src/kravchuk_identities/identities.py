@@ -117,13 +117,12 @@ def _report(
 
 def classify(
     p: Polynomial,
-    N: int = None,
     expected: Polynomial = None,
     check_id: str = "classify",
     n: int = None,
 ) -> IdentityReport:
     start = time.perf_counter()
-    return _report(check_id, n, phi_k(p, N), expected, start)
+    return _report(check_id, n, phi_k(p), expected, start)
 
 
 # -- conjectures 1 and 2 ------------------------------------------------
@@ -140,7 +139,7 @@ def conjecture1(n: int) -> IdentityReport:
     if n < 2:
         raise ValueError(f"conjecture1: n must be >= 2, got {n}")
     start = time.perf_counter()
-    lhs = _phi_sigma(kravchuk1(n), n)
+    lhs = _phi_sigma(kravchuk1, n)
     if n % 2 == 1:
         rhs = Polynomial.zero()
     else:
@@ -157,7 +156,7 @@ def conjecture2(n: int) -> IdentityReport:
     if n < 2:
         raise ValueError(f"conjecture2: n must be >= 2, got {n}")
     start = time.perf_counter()
-    lhs = _phi_sigma(kravchuk2(n), n)
+    lhs = _phi_sigma(kravchuk2, n)
     if n % 2 == 1:
         rhs = Polynomial.zero()
     else:
@@ -182,7 +181,7 @@ def i_element(n: int) -> Polynomial:
         * ((-1) ** i * arith.binomial(2 * n, i))
         for i in range(2 * n + 1)
     ) / 2
-    if not is_in_kernel(weitzenbock(2 * n), total):
+    if not is_in_kernel(weitzenbock, total):
         raise RuntimeError(f"I_{n} failed the Weitzenbock kernel post-check")
     return total
 
@@ -231,8 +230,8 @@ def discriminant_identity() -> IdentityReport:
     # 5x5 determinant and the discriminant of the cubic.
     disc = exact_div(raw_det, -Polynomial.var(xvar(0)))
     disc_ok = disc == discriminant_expected()
-    transported = apply_psi(psi_ak1(3), disc)
-    kernel_ok = is_in_kernel(kravchuk1(3), transported)
+    transported = apply_psi(psi_ak1, disc)
+    kernel_ok = is_in_kernel(kravchuk1, transported)
     image = phi_k(transported)
     expected = Polynomial.var(A) ** 3 * 108
     report = _report(
@@ -293,7 +292,7 @@ def conjecture3(n: int) -> tuple:
         ("conjecture3ii", psi_ak2, _c3_rhs_part2),
     ):
         start = time.perf_counter()
-        image = determinant(hankel([phi_k(q) for q in psi(2 * n).images]))
+        image = determinant(hankel([phi_k(psi(k)) for k in range(2 * n + 1)]))
         notes = {"shifted_products_match": image == rhs(n, shifted=True)}
         reports.append(_report(check_id, n, image, rhs(n), start, notes))
     return tuple(reports)

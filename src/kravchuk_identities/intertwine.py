@@ -1,15 +1,16 @@
 """Intertwining maps from the Weitzenbock derivation to the Kravchuk ones.
 
 psi_ak1 transports ker(weitzenbock) into ker(kravchuk1) via the T(n,i)
-coefficients, psi_ak2 into ker(kravchuk2) via B(n,k) = k! S(n,k).
+coefficients, psi_ak2 into ker(kravchuk2) via B(n,k) = k! S(n,k).  Each map
+is the function n -> psi(x_n), a linear form in x_0..x_n, and extends to
+Q[x0, x1, ...] by substitution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .poly import Polynomial, var_name, xvar
+from .poly import Polynomial, generators, xvar
 
 
 @lru_cache(maxsize=None)
@@ -44,49 +45,26 @@ def b_coeff(n: int, k: int) -> int:
     return _row("ak2", n)[k]
 
 
-@dataclass(frozen=True)
-class LinearSubstitution:
-    """images[n] = psi(x_n), each a linear form; extends to a ring
-    homomorphism by substitution."""
-
-    name: str
-    images: tuple
-
-    @property
-    def max_index(self) -> int:
-        return len(self.images) - 1
-
-
-def build_psi(kind: str, N: int) -> LinearSubstitution:
-    if N < 1:
-        raise ValueError(f"build_psi: N must be >= 1, got {N}")
+@lru_cache(maxsize=None)
+def build_psi(kind: str, n: int) -> Polynomial:
+    """psi(x_n) for kind "ak1" or "ak2": x_0 for n = 0, otherwise the linear
+    form sum_{i=1}^n row[i] x_i."""
     if kind not in ("ak1", "ak2"):
         raise ValueError(f"unknown intertwining map kind: {kind!r}")
-    images = [Polynomial.var(xvar(0))]
-    for n in range(1, N + 1):
-        row = _row(kind, n)
-        images.append(
-            Polynomial.sum(Polynomial.var(xvar(i)) * row[i] for i in range(1, n + 1))
-        )
-    return LinearSubstitution(kind, tuple(images))
+    if n == 0:
+        return Polynomial.var(xvar(0))
+    row = _row(kind, n)
+    return Polynomial.sum(Polynomial.var(xvar(i)) * row[i] for i in range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def psi_ak1(N: int) -> LinearSubstitution:
-    return build_psi("ak1", N)
+def psi_ak1(n: int) -> Polynomial:
+    return build_psi("ak1", n)
 
 
-@lru_cache(maxsize=None)
-def psi_ak2(N: int) -> LinearSubstitution:
-    return build_psi("ak2", N)
+def psi_ak2(n: int) -> Polynomial:
+    return build_psi("ak2", n)
 
 
-def apply_psi(psi: LinearSubstitution, p: Polynomial) -> Polynomial:
-    for v in p.variables():
-        if v > psi.max_index:
-            raise ValueError(
-                f"variable {var_name(v)} out of range for psi_{psi.name} "
-                f"built on x0..x{psi.max_index}"
-            )
-    return p.substitute({v: psi.images[v] for v in p.variables()})
-
+def apply_psi(psi, p: Polynomial) -> Polynomial:
+    """The ring homomorphism x_v -> psi(v) applied to p."""
+    return p.substitute({v: psi(v) for v in generators(p)})

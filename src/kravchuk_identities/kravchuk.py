@@ -4,7 +4,7 @@ the derivative expansions."""
 from functools import lru_cache
 
 from . import derivations
-from .poly import A, X, Polynomial, var_name
+from .poly import A, X, Polynomial, generators
 
 
 @lru_cache(maxsize=None)
@@ -27,26 +27,20 @@ def kravchuk(n: int) -> Polynomial:
     return (k1 * kravchuk(n - 1) - (a - (n - 2)) * kravchuk(n - 2)) / n
 
 
-def phi_k(p: Polynomial, N: int = None) -> Polynomial:
+def phi_k(p: Polynomial) -> Polynomial:
     """Substitute x_i -> K_i(x,a) and expand."""
-    vs = p.variables()
-    for v in vs:
-        if v in (X, A):
-            raise ValueError("phi_k input must use only the generators x0..xN")
-        if N is not None and v > N:
-            raise ValueError(f"variable {var_name(v)} out of range (N={N})")
-    return p.substitute({v: kravchuk(v) for v in vs})
+    return p.substitute({v: kravchuk(v) for v in generators(p)})
 
 
 def dKdx_expansion(n: int) -> Polynomial:
     """d/dx K_n = -2 phi_K(D_K1(x_n)), a combination of K_0..K_{n-1}."""
     if n < 1:
         raise ValueError(f"dKdx_expansion: n must be >= 1, got {n}")
-    return phi_k(derivations.kravchuk1(n).images[n]) * -2
+    return phi_k(derivations.kravchuk1(n)) * -2
 
 
 def dKda_expansion(n: int) -> Polynomial:
     """d/da K_n = phi_K(D_K2(x_n)), a combination of K_0..K_{n-1}."""
     if n < 1:
         raise ValueError(f"dKda_expansion: n must be >= 1, got {n}")
-    return phi_k(derivations.kravchuk2(n).images[n])
+    return phi_k(derivations.kravchuk2(n))

@@ -1,4 +1,5 @@
-"""Sparse multivariate polynomials over Q in the variables x0..xN, x, a.
+"""Sparse multivariate polynomials over Q in the generators x0, x1, ... and
+the Kravchuk arguments x, a.
 
 Variables are integer codes: the generator x_i is the code i, and the two
 Kravchuk arguments come after every generator in the variable order
@@ -30,6 +31,18 @@ def xvar(i: int) -> int:
     if not 0 <= i < X:
         raise ValueError(f"generator index must be in 0..{X - 1}, got {i}")
     return i
+
+
+def generators(p: Polynomial) -> set:
+    """The codes of the generators in p.  The derivations, psi and phi_K
+    are each fixed by their images of x0, x1, ...; x and a have none, so
+    either one in p is an error."""
+    vs = p.variables()
+    if X in vs or A in vs:
+        raise ValueError(
+            "expected a polynomial in the generators x0, x1, ... alone, not in x or a"
+        )
+    return vs
 
 
 def var_name(code: int) -> str:

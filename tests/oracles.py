@@ -8,12 +8,7 @@ from fractions import Fraction
 from math import factorial
 
 from kravchuk_identities import arith, series
-from kravchuk_identities.derivations import (
-    Derivation,
-    dk1_power_coeff,
-    kravchuk1,
-    power_apply,
-)
+from kravchuk_identities.derivations import dk1_power_coeff, kravchuk1, power_apply
 from kravchuk_identities.identities import hankel
 from kravchuk_identities.intertwine import apply_psi, psi_ak1, psi_ak2
 from kravchuk_identities.kravchuk import kravchuk, phi_k
@@ -102,13 +97,13 @@ def conjecture3_expanded(n: int) -> tuple:
     det H_n expanded over the generators x_0..x_2n first."""
     generators = [Polynomial.var(xvar(k)) for k in range(2 * n + 1)]
     det_h = determinant_laplace(hankel(generators))
-    return tuple(phi_k(apply_psi(psi(2 * n), det_h)) for psi in (psi_ak1, psi_ak2))
+    return tuple(phi_k(apply_psi(psi, det_h)) for psi in (psi_ak1, psi_ak2))
 
 
 def dk1_scale_by_iteration(k: int) -> Fraction:
     """The constant c with D_K1^k(x_k) = c * S^(k)(k) * x_0, read off the
     iterated derivation."""
-    iterated = power_apply(kravchuk1(max(k, 1)), Polynomial.var(xvar(k)), k)
+    iterated = power_apply(kravchuk1, Polynomial.var(xvar(k)), k)
     return iterated.coeff(((xvar(0), 1),)) / arith.s_upper(k, k)
 
 
@@ -146,13 +141,13 @@ def conjecture2_double_sum(n: int) -> Polynomial:
     )
 
 
-def apply_leibniz(D: Derivation, p: Polynomial) -> Polynomial:
+def apply_leibniz(D, p: Polynomial) -> Polynomial:
     """D(p) by the Leibniz rule, one monomial and one variable at a time:
     c x^m goes to sum_v c e_v x^(m - e_v) D(x_v)."""
     total = Polynomial.zero()
     for mono, c in p.terms():
         for v, e in mono:
-            image = D.images[v]
+            image = D(v)
             if image.is_zero:
                 continue
             # c * e * v^(e-1) * (other factors) * D(v)

@@ -140,7 +140,7 @@ def test_criterion_05_cayley_and_sigma_tables():
             -x * (x - 1) * (x - 2) / 6,
         ]
         for n, expected in zip(range(2, 7), sigma_images):
-            sigma = dixmier_sigma(kravchuk2(n), n)
+            sigma = dixmier_sigma(kravchuk2, n)
             image = phi_k(sigma.numerator)  # phi_K(x0) = 1 kills the pivot
             assert image == expected
 
@@ -150,8 +150,8 @@ def test_criterion_05_cayley_and_sigma_tables():
 def test_criterion_06_kernel_properties():
     def check():
         for n in range(2, 13):
-            assert is_in_kernel(kravchuk1(n), cayley_k1(n))
-            assert is_in_kernel(kravchuk2(n), cayley_k2(n).polynomial)
+            assert is_in_kernel(kravchuk1, cayley_k1(n))
+            assert is_in_kernel(kravchuk2, cayley_k2(n).polynomial)
         p = (
             x3 * x1**2
             - 2 * x2 * x3 * x0
@@ -159,8 +159,8 @@ def test_criterion_06_kernel_properties():
             - 3 * x3 * x0**2
             + 5 * x5 * x0**2
         )
-        assert not is_in_kernel(kravchuk1(5), p)
-        assert not is_in_kernel(kravchuk2(5), p)
+        assert not is_in_kernel(kravchuk1, p)
+        assert not is_in_kernel(kravchuk2, p)
         assert phi_k(p).is_zero
 
     _gate(6, "kernel membership, n <= 12, plus the non-kernel witness", 60.0, check)
@@ -170,8 +170,6 @@ def test_criterion_07_closed_form_powers():
     def check():
         scales = set()
         for n in range(1, 13):
-            dk1 = kravchuk1(n)
-            dk2 = kravchuk2(n)
             xn = Polynomial.var(xvar(n))
             for k in range(1, n + 1):
                 cf1 = dk1_power_closed(n, k)
@@ -179,14 +177,14 @@ def test_criterion_07_closed_form_powers():
                     (Polynomial.var(xvar(i)) * c for i, c in enumerate(cf1.coeffs)),
                     Polynomial.zero(),
                 )
-                assert rebuilt == power_apply(dk1, xn, k)
+                assert rebuilt == power_apply(kravchuk1, xn, k)
                 scales.add((k, cf1.scale))
                 cf2 = dk2_power_closed(n, k)
                 rebuilt = sum(
                     (Polynomial.var(xvar(i)) * c for i, c in enumerate(cf2.coeffs)),
                     Polynomial.zero(),
                 )
-                assert rebuilt == power_apply(dk2, xn, k)
+                assert rebuilt == power_apply(kravchuk2, xn, k)
                 assert cf2.scale == 1
         # one calibration constant per k, uniform across n
         assert scales == {(k, Fraction(1, 2**k)) for k in range(1, 13)}
@@ -197,15 +195,12 @@ def test_criterion_07_closed_form_powers():
 
 def test_criterion_08_intertwining_maps():
     def check():
-        psi1 = psi_ak1(20)
-        psi2 = psi_ak2(20)
-        assert psi1.images[5] == 16 * x1 - 120 * x3 + 120 * x5
-        assert psi2.images[4] == x1 + 14 * x2 + 36 * x3 + 24 * x4
-        dw = weitzenbock(20)
-        for psi, D in ((psi1, kravchuk1(20)), (psi2, kravchuk2(20))):
+        assert psi_ak1(5) == 16 * x1 - 120 * x3 + 120 * x5
+        assert psi_ak2(4) == x1 + 14 * x2 + 36 * x3 + 24 * x4
+        for psi, D in ((psi_ak1, kravchuk1), (psi_ak2, kravchuk2)):
             for n in range(21):
                 xn = Polynomial.var(xvar(n))
-                assert apply(D, apply_psi(psi, xn)) == apply_psi(psi, apply(dw, xn))
+                assert apply(D, apply_psi(psi, xn)) == apply_psi(psi, apply(weitzenbock, xn))
         # T(n+1,i) = i (T(n,i-1) - T(n,i+1)) with T(n,0) = [n = 0],
         # B(n,k) = k (B(n-1,k) + B(n-1,k-1)) with B(n,n) = n!
         def t_ext(n, i):
@@ -256,22 +251,22 @@ def test_criterion_10_theorem_classification():
     def check():
         # every kernel element used in the suite
         k1_elems = [cayley_k1(n) for n in range(2, 9)]
-        k1_elems.append(apply_psi(psi_ak1(6), i_element(3)))
+        k1_elems.append(apply_psi(psi_ak1, i_element(3)))
         det_h2 = determinant(hankel([x0, x1, x2, x3, x4]))
-        k1_elems.append(apply_psi(psi_ak1(4), det_h2))
+        k1_elems.append(apply_psi(psi_ak1, det_h2))
         for p in k1_elems:
             assert classify(p).classification in (CONSTANT, ONLY_A)
         k2_elems = [cayley_k2(n).polynomial for n in range(2, 9)]
-        k2_elems.append(apply_psi(psi_ak2(6), i_element(3)))
-        k2_elems.append(apply_psi(psi_ak2(4), det_h2))
+        k2_elems.append(apply_psi(psi_ak2, i_element(3)))
+        k2_elems.append(apply_psi(psi_ak2, det_h2))
         for p in k2_elems:
             assert classify(p).classification in (CONSTANT, ONLY_X)
         # phi o D_K2 = d/da o phi on monomials; phi o D_K1 = c d/dx o phi
         monomials = [x3, x0 * x2, x1**2 * x4, x2 * x3 * x5, x1 * x2**2]
         c = Fraction(-1, 2)
         for m in monomials:
-            assert phi_k(apply(kravchuk2(5), m)) == phi_k(m).diff(A)
-            assert phi_k(apply(kravchuk1(5), m)) == phi_k(m).diff(X) * c
+            assert phi_k(apply(kravchuk2, m)) == phi_k(m).diff(A)
+            assert phi_k(apply(kravchuk1, m)) == phi_k(m).diff(X) * c
         print(f"  phi o D_K1 = c * d/dx o phi with c = {c}")
 
     _gate(10, "kernel classification and the intertwined-derivative identities", 60.0, check)

@@ -30,7 +30,9 @@ def test_parse_basic():
 
 
 def test_parse_errors():
-    for bad in ("x1^-2", "2x1", "x1 +", "(x1", "x1^x0", "1/0", "x1^(2)", "y"):
+    for bad in (
+        "x1^-2", "2x1", "x1 +", "(x1", "x1^x0", "1/0", "x1^(2)", "y", "2\u00b2*x1", "x\u0661"
+    ):
         with pytest.raises(ParseError):
             parse_expr(bad)
 
@@ -39,6 +41,9 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as exc:
         parse_expr("x1 + $")
     assert exc.value.col == 6
+    with pytest.raises(ParseError) as exc:
+        parse_expr("x1 +\n\t x2 $")
+    assert (exc.value.line, exc.value.col) == (2, 6)
 
 
 def test_render_roundtrip_random():
@@ -73,11 +78,26 @@ def test_cli_kernel_check_exit_codes(capsys):
     assert capsys.readouterr().out.strip() == "in kernel: true"
     assert run(["kernel", "check", "--derivation", "k1", "x1"]) == 1
     assert capsys.readouterr().out.strip() == "in kernel: false"
+    # The maps are fixed by their images of x0, x1, ...; x and a have none.
+    for argv in (
+        ["derivation", "apply", "--kind", "k1", "x*x0"],
+        ["kernel", "check", "--derivation", "w", "a*x1"],
+        ["intertwine", "apply", "--map", "ak2", "x"],
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), argv
+        assert captured.out == "", argv
 
 
 def test_cli_parse_error_exit_code(capsys):
     assert run(["kernel", "check", "--derivation", "k1", "x1^-2"]) == 2
     assert "parse error" in capsys.readouterr().err
+    # Digits are ASCII: a superscript or an Arabic-Indic digit is no digit.
+    for expr in ("2\u00b2*x1", "x\u0661"):
+        assert run(["identity", "verify", expr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error at line 1, column 2: unexpected character"), err
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, settings
 
 from kravchuk_identities import intertwine
 from kravchuk_identities.derivations import apply, is_in_kernel, kravchuk1, kravchuk2, weitzenbock
@@ -12,8 +13,9 @@ from kravchuk_identities.intertwine import (
     psi_ak2,
     t_coeff,
 )
-from kravchuk_identities.poly import Polynomial, xvar
+from kravchuk_identities.poly import A, X, Polynomial, xvar
 
+from conftest import polynomials
 from oracles import b_coeff_stirling, b_genfun_oracle, t_coeff_stirling, t_genfun_oracle
 
 x0, x1, x2, x3, x4, x5, x6 = (Polynomial.var(xvar(i)) for i in range(7))
@@ -81,55 +83,57 @@ def test_genfun_oracles():
 
 
 def test_psi_ak1_table():
-    psi = psi_ak1(6)
-    assert psi.images[1] == x1
-    assert psi.images[2] == 2 * x2
-    assert psi.images[3] == -2 * x1 + 6 * x3
-    assert psi.images[4] == -16 * x2 + 24 * x4
-    assert psi.images[5] == 16 * x1 - 120 * x3 + 120 * x5
-    assert psi.images[6] == 272 * x2 - 960 * x4 + 720 * x6
+    assert psi_ak1(1) == x1
+    assert psi_ak1(2) == 2 * x2
+    assert psi_ak1(3) == -2 * x1 + 6 * x3
+    assert psi_ak1(4) == -16 * x2 + 24 * x4
+    assert psi_ak1(5) == 16 * x1 - 120 * x3 + 120 * x5
+    assert psi_ak1(6) == 272 * x2 - 960 * x4 + 720 * x6
 
 
 def test_psi_ak2_table():
-    psi = psi_ak2(6)
-    assert psi.images[1] == x1
-    assert psi.images[2] == x1 + 2 * x2
-    assert psi.images[3] == x1 + 6 * x2 + 6 * x3
-    assert psi.images[4] == x1 + 14 * x2 + 36 * x3 + 24 * x4
-    assert psi.images[5] == x1 + 30 * x2 + 150 * x3 + 240 * x4 + 120 * x5
-    assert psi.images[6] == (
+    assert psi_ak2(1) == x1
+    assert psi_ak2(2) == x1 + 2 * x2
+    assert psi_ak2(3) == x1 + 6 * x2 + 6 * x3
+    assert psi_ak2(4) == x1 + 14 * x2 + 36 * x3 + 24 * x4
+    assert psi_ak2(5) == x1 + 30 * x2 + 150 * x3 + 240 * x4 + 120 * x5
+    assert psi_ak2(6) == (
         x1 + 62 * x2 + 540 * x3 + 1560 * x4 + 1800 * x5 + 720 * x6
     )
 
 
 def test_intertwining_property():
-    N = 20
-    dw = weitzenbock(N)
-    for build_psi_fn, build_d in ((psi_ak1, kravchuk1), (psi_ak2, kravchuk2)):
-        psi = build_psi_fn(N)
-        D = build_d(N)
-        for n in range(N + 1):
+    for psi, D in ((psi_ak1, kravchuk1), (psi_ak2, kravchuk2)):
+        for n in range(21):
             xn = Polynomial.var(xvar(n))
             lhs = apply(D, apply_psi(psi, xn))
-            rhs = apply_psi(psi, apply(dw, xn))
+            rhs = apply_psi(psi, apply(weitzenbock, xn))
             assert lhs == rhs
 
 
+@given(polynomials(max_var=5, max_exp=2))
+@settings(max_examples=40, deadline=None)
+def test_intertwining_property_on_random_polynomials(p):
+    # D_Kj o psi_AKj = psi_AKj o W on all of Q[x0, x1, ...], not just on
+    # the generators: both sides are derivations along the ring map psi.
+    for psi, D in ((psi_ak1, kravchuk1), (psi_ak2, kravchuk2)):
+        assert apply(D, apply_psi(psi, p)) == apply_psi(psi, apply(weitzenbock, p))
+
+
 def test_apply_psi_range_check():
-    with pytest.raises(ValueError):
-        apply_psi(psi_ak1(2), x3)
+    for p in (Polynomial.var(X), x0 + Polynomial.var(A)):
+        with pytest.raises(ValueError):
+            apply_psi(psi_ak1, p)
 
 
 def test_kernel_transport():
     # psi maps Weitzenbock kernel elements to Kravchuk-derivation kernel elements
-    N = 8
-    dw = weitzenbock(N)
     kernel_elems = [
         x0 * x2 - x1**2,
         x0**2 * x3 - 3 * x0 * x1 * x2 + 2 * x1**3,
         x0 * x4 - 4 * x1 * x3 + 3 * x2**2,
     ]
     for p in kernel_elems:
-        assert is_in_kernel(dw, p)
-        assert is_in_kernel(kravchuk1(N), apply_psi(psi_ak1(N), p))
-        assert is_in_kernel(kravchuk2(N), apply_psi(psi_ak2(N), p))
+        assert is_in_kernel(weitzenbock, p)
+        assert is_in_kernel(kravchuk1, apply_psi(psi_ak1, p))
+        assert is_in_kernel(kravchuk2, apply_psi(psi_ak2, p))

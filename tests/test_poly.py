@@ -215,7 +215,7 @@ def test_determinant_matches_laplace_hankel_and_discriminant():
         assert determinant(h) == determinant_laplace(h)
         # the conjecture-3 matrices: Hankel on the bivariate phi_K(psi(x_k))
         for psi in (psi_ak1, psi_ak2):
-            h = hankel([phi_k(q) for q in psi(2 * n).images])
+            h = hankel([phi_k(psi(k)) for k in range(2 * n + 1)])
             assert determinant(h) == determinant_laplace(h)
     m = discriminant_matrix()
     assert determinant(m) == determinant_laplace(m)
