@@ -16,12 +16,12 @@ parse or output error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import derivations, identities, intertwine, kravchuk
 from .poly import A, X, Polynomial, render_latex, render_text, to_json_terms, xvar
@@ -175,57 +175,195 @@ _DERIVATIONS = {
 _PSI_MAPS = {"ak1": intertwine.psi_ak1, "ak2": intertwine.psi_ak2}
 
 
-def _make_argparser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="kravchuk",
-        description="Exact identities and derivations for Kravchuk polynomials",
+# -- command line -------------------------------------------------------
+
+# The command table: the one source for parsing, --help and usage lines.
+# name: (help, positionals, options).  A positional is (dest, kind) and an
+# option is flag: (dest, kind, default); a default of _REQUIRED makes the
+# option required.  A kind is int, str or a tuple of choices; a token for a
+# tuple of ints goes through int() before the choice check.
+_REQUIRED = object()
+_FORMAT = {"--format": ("format", ("text", "json", "latex"), "text")}
+_COMMANDS = {
+    "poly": ("print K_n(x,a)", [("n", int)], _FORMAT),
+    "derive": (
+        "derivative expansion of K_n",
+        [("n", int)],
+        {"--op": ("op", ("dx", "da"), _REQUIRED)},
+    ),
+    "derivation": (
+        "apply a derivation to an expression",
+        [("action", ("apply",)), ("expr", str)],
+        {"--kind": ("kind", tuple(_DERIVATIONS), _REQUIRED)},
+    ),
+    "kernel": (
+        "kernel membership check",
+        [("action", ("check",)), ("expr", str)],
+        {"--derivation": ("derivation", tuple(_DERIVATIONS), _REQUIRED)},
+    ),
+    "cayley": (
+        "Cayley kernel element C_n",
+        [("n", int)],
+        {"--derivation": ("derivation", ("k1", "k2"), _REQUIRED)},
+    ),
+    "sigma": (
+        "Dixmier image sigma(x_n)",
+        [("n", int)],
+        {"--derivation": ("derivation", ("k1", "k2"), _REQUIRED)},
+    ),
+    "intertwine": (
+        "apply psi_AK1 / psi_AK2",
+        [("action", ("apply",)), ("expr", str)],
+        {"--map": ("psi_map", tuple(_PSI_MAPS), _REQUIRED)},
+    ),
+    "identity": (
+        "phi_K image and classification",
+        [("action", ("verify",)), ("expr", str)],
+        {"--expect": ("expect", str, None)},
+    ),
+    "conjecture": (
+        "sweep a conjecture verifier",
+        [("which", (1, 2, 3))],
+        {"--max-n": ("max_n", int, None), **_FORMAT, "--out": ("out", str, None)},
+    ),
+    "discriminant-demo": ("the 108 a^3 discriminant chain", [], {}),
+}
+
+
+class UsageError(ValueError):
+    """A malformed command line; usage is the line printed above the error."""
+
+    def __init__(self, message: str, usage: str):
+        super().__init__(message)
+        self.usage = usage
+
+
+def _metavar(name: str, kind) -> str:
+    return "{" + ",".join(map(str, kind)) + "}" if isinstance(kind, tuple) else name
+
+
+def _usage(command=None) -> str:
+    if command is None:
+        return f"kravchuk [-h] {_metavar('command', tuple(_COMMANDS))} ..."
+    _, positionals, options = _COMMANDS[command]
+    words = ["kravchuk", command, "[-h]"]
+    for flag, (dest, kind, default) in options.items():
+        word = f"{flag} {_metavar(dest.upper(), kind)}"
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    words.extend(_metavar(dest, kind) for dest, kind in positionals)
+    return " ".join(words)
+
+
+def _help(command=None) -> str:
+    if command is not None:
+        return f"usage: {_usage(command)}\n\n{_COMMANDS[command][0]}"
+    width = max(map(len, _COMMANDS)) + 2
+    rows = "\n".join(f"  {name:<{width}}{spec[0]}" for name, spec in _COMMANDS.items())
+    return (
+        f"usage: {_usage()}\n\n"
+        "Exact identities and derivations for Kravchuk polynomials\n\n"
+        f"commands:\n{rows}\n\n"
+        "'kravchuk <command> --help' shows the usage of one command."
     )
-    sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("poly", help="print K_n(x,a)")
-    p.add_argument("n", type=int)
-    p.add_argument("--format", choices=["text", "json", "latex"], default="text")
 
-    p = sub.add_parser("derive", help="derivative expansion of K_n")
-    p.add_argument("--op", choices=["dx", "da"], required=True)
-    p.add_argument("n", type=int)
+def _convert(name: str, kind, token: str):
+    if kind is str:
+        return token
+    value = token
+    if kind is int or isinstance(kind[0], int):
+        try:
+            value = int(token)
+        except ValueError:
+            raise ValueError(f"argument {name}: invalid int value: {token!r}") from None
+    if kind is not int and value not in kind:
+        choices = ", ".join(map(repr, kind))
+        raise ValueError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+    return value
 
-    p = sub.add_parser("derivation", help="apply a derivation to an expression")
-    p.add_argument("action", choices=["apply"])
-    p.add_argument("--kind", choices=["w", "k1", "k2"], required=True)
-    p.add_argument("expr")
 
-    p = sub.add_parser("kernel", help="kernel membership check")
-    p.add_argument("action", choices=["check"])
-    p.add_argument("--derivation", choices=["w", "k1", "k2"], required=True)
-    p.add_argument("expr")
+def _long_option(token: str, flags):
+    """(flag, inline value or None) for a --name[=value] token whose name is
+    a flag or a unique prefix of one; None when it names no flag."""
+    name, eq, value = token.partition("=")
+    matches = [name] if name in flags else [f for f in flags if f.startswith(name)]
+    if len(matches) > 1:
+        raise ValueError(f"ambiguous option: {name} could match {', '.join(matches)}")
+    return (matches[0], value if eq else None) if matches else None
 
-    p = sub.add_parser("cayley", help="Cayley kernel element C_n")
-    p.add_argument("--derivation", choices=["k1", "k2"], required=True)
-    p.add_argument("n", type=int)
 
-    p = sub.add_parser("sigma", help="Dixmier image sigma(x_n)")
-    p.add_argument("--derivation", choices=["k1", "k2"], required=True)
-    p.add_argument("n", type=int)
+def parse_args(argv):
+    """The namespace _dispatch reads, or the help text when -h/--help comes
+    before any error.  Raises UsageError on a malformed command line.
 
-    p = sub.add_parser("intertwine", help="apply psi_AK1 / psi_AK2")
-    p.add_argument("action", choices=["apply"])
-    p.add_argument("--map", dest="psi_map", choices=["ak1", "ak2"], required=True)
-    p.add_argument("expr")
+    The command comes first.  Options take the forms --opt value,
+    --opt=value and a unique prefix of --opt, before, between or after the
+    positionals; the last of a repeated option wins, and -- ends the
+    options.  An option always takes the next token as its value, and every
+    other token that is not -h or a --long option is a positional, so
+    values like -3, -x1 and -a+2*x need no --."""
+    command = argv[0] if argv else None
+    if command == "-h" or len(command or "") > 2 and "--help".startswith(command):
+        return _help()
+    try:
+        if command is None:
+            raise ValueError("the following arguments are required: command")
+        _convert("command", tuple(_COMMANDS), command)  # raises if unknown
+    except ValueError as exc:
+        raise UsageError(str(exc), _usage()) from None
 
-    p = sub.add_parser("identity", help="phi_K image and classification")
-    p.add_argument("action", choices=["verify"])
-    p.add_argument("expr")
-    p.add_argument("--expect", default=None, help="expected image in x, a")
-
-    p = sub.add_parser("conjecture", help="sweep a conjecture verifier")
-    p.add_argument("which", type=int, choices=[1, 2, 3])
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--format", choices=["text", "json", "latex"], default="text")
-    p.add_argument("--out", default=None)
-
-    sub.add_parser("discriminant-demo", help="the 108 a^3 discriminant chain")
-    return ap
+    _, positionals, options = _COMMANDS[command]
+    flags = ("--help", *options)
+    values = {"command": command}
+    values.update((dest, default) for dest, _, default in options.values())
+    extras = []
+    count = 0  # positionals read
+    ended = False  # after --
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            option = None
+            if not ended:
+                if token == "--":
+                    ended = True
+                    continue
+                if token == "-h":
+                    return _help(command)
+                if token.startswith("--"):
+                    option = _long_option(token, flags)
+                    # An unknown --name is an error, except with a space
+                    # in it: that is an expression like '--x1 + x0'.
+                    if option is None and " " not in token:
+                        extras.append(token)
+                        continue
+            if option is None:
+                if count < len(positionals):
+                    dest, kind = positionals[count]
+                    values[dest] = _convert(dest, kind, token)
+                    count += 1
+                else:
+                    extras.append(token)
+                continue
+            flag, value = option
+            if flag == "--help":
+                if value is not None:
+                    raise ValueError(f"argument -h/--help: ignored explicit argument {value!r}")
+                return _help(command)
+            if value is None:
+                value = next(tokens, None)
+                if value is None:
+                    raise ValueError(f"argument {flag}: expected one argument")
+            dest, kind, _ = options[flag]
+            values[dest] = _convert(flag, kind, value)
+        missing = [dest for dest, _ in positionals[count:]]
+        missing += [flag for flag, (dest, _, _) in options.items() if values[dest] is _REQUIRED]
+        if missing:
+            raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+        if extras:
+            raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    except ValueError as exc:
+        raise UsageError(str(exc), _usage(command)) from None
+    return SimpleNamespace(**values)
 
 
 def _report_lines(reports, fmt: str) -> str:
@@ -253,11 +391,14 @@ def _report_lines(reports, fmt: str) -> str:
 
 
 def run(argv) -> int:
-    ap = _make_argparser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        args = parse_args(argv)
+    except UsageError as exc:
+        print(f"usage: {exc.usage}\nkravchuk: error: {exc}", file=sys.stderr)
+        return 2
+    if isinstance(args, str):
+        print(args)
+        return 0
     try:
         return _dispatch(args)
     except ParseError as exc:

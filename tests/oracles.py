@@ -4,6 +4,7 @@ Each function here is a slower or differently derived construction that the
 tests compare against the package's single route.
 """
 
+import argparse
 from fractions import Fraction
 from math import factorial
 
@@ -197,3 +198,58 @@ def b_genfun_oracle(k: int, N: int) -> list:
     f = series.exp_series(1, N) - 1
     fk = f**k
     return [fk[n] * factorial(n) for n in range(k, N + 1)]
+
+
+# The argparse command line that cli.parse_args replaced: every argv must
+# parse to the same fields through both, or fail through both.
+def _make_argparser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="kravchuk",
+        description="Exact identities and derivations for Kravchuk polynomials",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("poly", help="print K_n(x,a)")
+    p.add_argument("n", type=int)
+    p.add_argument("--format", choices=["text", "json", "latex"], default="text")
+
+    p = sub.add_parser("derive", help="derivative expansion of K_n")
+    p.add_argument("--op", choices=["dx", "da"], required=True)
+    p.add_argument("n", type=int)
+
+    p = sub.add_parser("derivation", help="apply a derivation to an expression")
+    p.add_argument("action", choices=["apply"])
+    p.add_argument("--kind", choices=["w", "k1", "k2"], required=True)
+    p.add_argument("expr")
+
+    p = sub.add_parser("kernel", help="kernel membership check")
+    p.add_argument("action", choices=["check"])
+    p.add_argument("--derivation", choices=["w", "k1", "k2"], required=True)
+    p.add_argument("expr")
+
+    p = sub.add_parser("cayley", help="Cayley kernel element C_n")
+    p.add_argument("--derivation", choices=["k1", "k2"], required=True)
+    p.add_argument("n", type=int)
+
+    p = sub.add_parser("sigma", help="Dixmier image sigma(x_n)")
+    p.add_argument("--derivation", choices=["k1", "k2"], required=True)
+    p.add_argument("n", type=int)
+
+    p = sub.add_parser("intertwine", help="apply psi_AK1 / psi_AK2")
+    p.add_argument("action", choices=["apply"])
+    p.add_argument("--map", dest="psi_map", choices=["ak1", "ak2"], required=True)
+    p.add_argument("expr")
+
+    p = sub.add_parser("identity", help="phi_K image and classification")
+    p.add_argument("action", choices=["verify"])
+    p.add_argument("expr")
+    p.add_argument("--expect", default=None, help="expected image in x, a")
+
+    p = sub.add_parser("conjecture", help="sweep a conjecture verifier")
+    p.add_argument("which", type=int, choices=[1, 2, 3])
+    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--format", choices=["text", "json", "latex"], default="text")
+    p.add_argument("--out", default=None)
+
+    sub.add_parser("discriminant-demo", help="the 108 a^3 discriminant chain")
+    return ap

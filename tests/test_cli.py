@@ -1,3 +1,6 @@
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import random
@@ -10,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import kravchuk_identities
-from kravchuk_identities.cli import ParseError, parse_expr, render, run
+from kravchuk_identities.cli import ParseError, parse_args, parse_expr, render, run
+from oracles import _make_argparser
 from kravchuk_identities.poly import A, X, Polynomial, render_text, xvar
 
 x0, x1, x2 = (Polynomial.var(xvar(i)) for i in range(3))
@@ -309,3 +313,224 @@ def test_module_entry_point_closed_stdout_exits_2(n):
     assert proc.returncode == 2
     # No traceback, no "Exception ignored" at shutdown, no error line.
     assert proc.stderr == ""
+
+
+# -- the command line against the argparse oracle ------------------------
+
+MALFORMED = [
+    [],
+    ["nonsense"],
+    ["--", "poly", "3"],
+    ["--frob", "poly", "3"],
+    ["--help=x"],
+    ["poly"],
+    ["poly", "3", "4"],
+    ["poly", "three"],
+    ["poly", "3.0"],
+    ["poly", "-"],
+    ["poly", "-h3"],
+    ["poly", "3", "--format", "pdf"],
+    ["poly", "3", "--format"],
+    ["poly", "3", "--format=", "json"],
+    ["poly", "3", "--frob"],
+    ["poly", "3", "--frob=1"],
+    ["poly", "3", "---format", "json"],
+    ["poly", "3", "--help=x"],
+    ["poly", "3", "--", "--format", "json"],
+    ["derive", "3"],
+    ["derive", "--op", "dy", "3"],
+    ["derivation", "apply", "x0"],
+    ["derivation", "check", "--kind", "w", "x0"],
+    ["kernel", "check", "--derivation", "k3", "x0"],
+    ["cayley", "--derivation", "w", "2"],
+    ["sigma", "2"],
+    ["intertwine", "apply", "--map", "ak3", "x0"],
+    ["identity", "verify"],
+    ["identity", "verify", "x0", "x1"],
+    ["identity", "verify", "x0", "--", "--expect", "a"],
+    ["identity", "verify", "--x1+x0"],
+    ["conjecture", "4"],
+    ["conjecture", "one"],
+    ["conjecture", "1", "--max-n", "two"],
+    ["conjecture", "1", "--max-n"],
+    ["conjecture", "1", "--max-n", "--", "3"],
+    ["discriminant-demo", "x"],
+]
+
+# Well-formed argv beyond the README and benchmark jobs: every option form,
+# and -h/--help wherever it comes before an error.
+ACCEPTED = [
+    ["poly", "--format=json", "3"],
+    ["poly", "--form", "json", "3"],
+    ["poly", "3", "--format=json", "--format", "latex"],
+    ["poly", "-3"],
+    ["poly", "--", "5"],
+    ["poly", "5", "--"],
+    ["poly", "--format", "json", "--", "3"],
+    ["conjecture", "03"],
+    ["conjecture", "+1"],
+    ["conjecture", "--max-n", "3", "2"],
+    ["conjecture", "1", "--max-n=-1"],
+    ["conjecture", "1", "--max-n", "-1"],
+    ["conjecture", "1", "--out", "-"],
+    ["derivation", "--kin", "w", "apply", "x0"],
+    ["identity", "--", "verify", "x0"],
+    ["identity", "verify", "--", "-x1"],
+    ["identity", "verify", "-x1 + 2"],
+    ["identity", "verify", "--x1 + x0"],
+    ["identity", "verify", "x0", "--exp=a + x"],
+    ["identity", "verify", "x0", "--expect="],
+    ["identity", "verify", "-1", "--expect", "-1"],
+    ["-h"],
+    ["--help", "poly"],
+    ["--he"],
+    ["poly", "-h"],
+    ["poly", "3", "--h"],
+    ["poly", "--help", "x"],
+    ["poly", "3", "4", "--help"],
+    ["poly", "3", "--frob", "--help"],
+    ["discriminant-demo", "--h"],
+]
+
+# The only argv the two parsers read differently: argparse takes a token
+# that starts with "-" for an option, so these exit 2 there.
+DIFFERENCES = {
+    "expect-minus-a": (
+        ["identity", "verify", "x0", "--expect", "-a/2"],
+        {"command": "identity", "action": "verify", "expr": "x0", "expect": "-a/2"},
+    ),
+    "expr-and-expect-start-with-minus": (
+        ["identity", "verify", "-x1", "--expect", "-a+2*x"],
+        {"command": "identity", "action": "verify", "expr": "-x1", "expect": "-a+2*x"},
+    ),
+    "apply-minus-x1": (
+        ["derivation", "apply", "--kind", "w", "-x1"],
+        {"command": "derivation", "action": "apply", "kind": "w", "expr": "-x1"},
+    ),
+    "out-starts-with-minus": (
+        ["conjecture", "1", "--out", "-x"],
+        {"command": "conjecture", "which": 1, "max_n": None, "format": "text", "out": "-x"},
+    ),
+    "expect-is-double-dash": (
+        ["identity", "verify", "x0", "--expect", "--"],
+        {"command": "identity", "action": "verify", "expr": "x0", "expect": "--"},
+    ),
+    # argparse drops a "--" only as part of some positional's arguments, and
+    # this command has none.
+    "double-dash-without-positionals": (
+        ["discriminant-demo", "--"],
+        {"command": "discriminant-demo"},
+    ),
+}
+
+
+def _benchmark_jobs():
+    """Every argv of the benchmark's recorded job pools."""
+    path = TESTS.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [argv for w in module.WORKLOADS for argv in module.pool_jobs(w)]
+
+
+def _oracle_outcome(argv):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            return vars(_make_argparser().parse_args(argv))
+        except SystemExit as exc:
+            return "help" if exc.code == 0 else "error"
+
+
+def _outcome(argv):
+    try:
+        args = parse_args(argv)
+    except ValueError:
+        return "error"
+    return "help" if isinstance(args, str) else vars(args)
+
+
+def test_cli_parser_matches_argparse_oracle():
+    argvs = _readme_examples() + _benchmark_jobs() + MALFORMED + ACCEPTED
+    assert len(argvs) > 100
+    for argv in argvs:
+        assert _outcome(argv) == _oracle_outcome(argv), argv
+    for name, (argv, fields) in DIFFERENCES.items():
+        assert _oracle_outcome(argv) == "error", name
+        assert _outcome(argv) == fields, name
+
+
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        (["identity", "verify", "-x1", "--expect", "-a+2*x"], "verdict: Verified"),
+        (["identity", "verify", "x1", "--expect", "-2*x+a"], "verdict: Verified"),
+        (["derivation", "apply", "--kind", "w", "-x1"], "-x0"),
+    ],
+    ids=["expr-and-expect", "expect", "expr"],
+)
+def test_cli_values_may_start_with_minus(capsys, argv, out):
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert out in captured.out.splitlines()
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=lambda argv: "_".join(argv) or "no-args")
+def test_cli_malformed_is_a_usage_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: kravchuk")
+    assert "\nkravchuk: error: " in captured.err
+
+
+def _oracle_command_help():
+    """(name, help) of every command, from the argparse oracle."""
+    (sub,) = _make_argparser()._subparsers._group_actions
+    return [(action.dest, action.help) for action in sub._choices_actions]
+
+
+def test_cli_help_lists_every_command(capsys):
+    commands = _oracle_command_help()
+    assert len(commands) == 10
+    for argv in (["--help"], ["-h"]):
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        for name, text in commands:
+            assert f"  {name} " in captured.out
+            assert text in captured.out
+    for name, text in commands:
+        assert run([name, "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: kravchuk {name} [-h]")
+        assert text in captured.out
+        assert captured.err == ""
+
+
+# Runs in a fresh interpreter: these modules are imported once per process.
+_COLD_RUN = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import kravchuk_identities.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(["poly", "3"]), cli.run(["conjecture", "1", "--max-n", "2"])]
+print(json.dumps({"codes": codes, "added": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_cli_cold_run_imports_no_argparse_gettext_or_locale():
+    src = Path(kravchuk_identities.__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 1]  # conjecture 1 is refuted at n = 2
+    assert not {"argparse", "gettext", "locale"} & set(result["added"])
+
