@@ -10,13 +10,13 @@ it, and no ring size is chosen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 
 from . import arith
-from .poly import Polynomial, generators, mono_div, xvar
+from .poly import Polynomial, exact_div, generators, xvar
 
 
 @lru_cache(maxsize=None)
@@ -25,19 +25,28 @@ def weitzenbock(n: int) -> Polynomial:
     return Polynomial.var(xvar(n - 1)) * n if n else Polynomial.zero()
 
 
+# D_K1 and D_K2 sum integer multiples of the generators over one
+# denominator, the lcm of the index differences, and divide once: a sum of
+# Fraction multiples would rescale every running numerator each time the lcm
+# grows.
 @lru_cache(maxsize=None)
 def kravchuk1(n: int) -> Polynomial:
     """D_K1(x_n) = sum_{i=1}^n (1-(-1)^i)/(2i) x_{n-i}  (odd i only)."""
-    return Polynomial.sum(
-        Polynomial.var(xvar(n - i)) * Fraction(1, i) for i in range(1, n + 1, 2)
-    )
+    odd = range(1, n + 1, 2)
+    den = lcm(*odd)
+    return Polynomial.sum(Polynomial.var(xvar(n - i)) * (den // i) for i in odd) / den
 
 
 @lru_cache(maxsize=None)
 def kravchuk2(n: int) -> Polynomial:
     """D_K2(x_n) = sum_{i=0}^{n-1} (-1)^(n+1+i)/(n-i) x_i."""
-    return Polynomial.sum(
-        Polynomial.var(xvar(i)) * Fraction((-1) ** (n + 1 + i), n - i) for i in range(n)
+    den = lcm(*range(1, n + 1))
+    return (
+        Polynomial.sum(
+            Polynomial.var(xvar(i)) * ((-1) ** (n + 1 + i) * (den // (n - i)))
+            for i in range(n)
+        )
+        / den
     )
 
 
@@ -62,14 +71,12 @@ def is_in_kernel(D, p: Polynomial) -> bool:
     return apply(D, p).is_zero
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(namedtuple("ClosedForm", "coeffs scale")):
     """Coefficients of x_0..x_{n-k} in D^k(x_n), plus the constant relating
     them to the printed closed-form coefficients (2^-k for the first
     Kravchuk derivation, 1 for the second)."""
 
-    coeffs: tuple
-    scale: Fraction
+    __slots__ = ()
 
 
 def dk1_power_coeff(k: int, m: int) -> Fraction:
@@ -102,13 +109,11 @@ def dk2_power_closed(n: int, k: int) -> ClosedForm:
     return ClosedForm(coeffs, Fraction(1))
 
 
-@dataclass(frozen=True)
-class Sigma:
+class Sigma(namedtuple("Sigma", "numerator power")):
     """sigma(x_i) = numerator / x0^power; when power > 0, x0 does not
     divide the numerator."""
 
-    numerator: Polynomial
-    power: int
+    __slots__ = ()
 
     def __repr__(self):
         if self.power == 0:
@@ -143,9 +148,7 @@ def dixmier_sigma(D, i: int) -> Sigma:
     shared = min((dict(m).get(xvar(0), 0) for m, _ in numerator.terms()), default=top)
     shared = min(shared, top)
     if shared:
-        numerator = Polynomial(
-            {mono_div(m, ((xvar(0), shared),)): coeff for m, coeff in numerator.terms()}
-        )
+        numerator = exact_div(numerator, Polynomial({((xvar(0), shared),): 1}))
     return Sigma(numerator, top - shared)
 
 
@@ -160,14 +163,11 @@ def cayley_k1(n: int) -> Polynomial:
     return cleared * (n * factorial(n - 2))
 
 
-@dataclass(frozen=True)
-class CayleyK2:
+class CayleyK2(namedtuple("CayleyK2", "polynomial scale power")):
     """Primitive integer numerator of sigma(x_n) for D_K2, with the rational
     scale it was divided by: sigma(x_n) * x_0^power = scale * polynomial."""
 
-    polynomial: Polynomial
-    scale: Fraction
-    power: int
+    __slots__ = ()
 
 
 def cayley_k2(n: int) -> CayleyK2:

@@ -9,9 +9,10 @@ plus a constant ratio whenever the two sides are proportional.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
+from types import SimpleNamespace
 
 from . import arith
 from .derivations import dixmier_sigma, is_in_kernel, kravchuk1, kravchuk2, weitzenbock
@@ -37,17 +38,11 @@ VERIFIED = "Verified"
 REFUTED = "Refuted"
 
 
-@dataclass
-class IdentityReport:
-    check_id: str
-    n: int | None
-    image: Polynomial
-    classification: str
-    verdict: str | None
-    expected: Polynomial | None
-    ratio: Fraction | None
-    runtime_ms: float
-    notes: dict
+class IdentityReport(SimpleNamespace):
+    """One verifier result, built by keyword: check_id (str), n (int or
+    None), image (Polynomial), classification (str), verdict (str or None),
+    expected (Polynomial or None), ratio (Fraction or None), runtime_ms
+    (float) and notes (dict)."""
 
     def to_record(self) -> dict:
         return {
@@ -275,11 +270,18 @@ def _c3_rhs_part2(n: int, shifted: bool = False) -> Polynomial:
     return rhs
 
 
+@lru_cache(maxsize=None)
+def moment(psi, k: int) -> Polynomial:
+    """phi_K(psi(x_k)), entry k of the conjecture-3 Hankel matrices; cached,
+    so a sweep over n expands each entry once."""
+    return phi_k(psi(k))
+
+
 def conjecture3(n: int) -> tuple:
     """Both parts of the Hankel-determinant conjecture at index n.
 
     phi_K o psi is a ring homomorphism, so the image of det H_n is the
-    determinant of the Hankel matrix on phi_K(psi(x_0)), ...,
+    determinant of the Hankel matrix on the moments phi_K(psi(x_0)), ...,
     phi_K(psi(x_2n)), taken over Q[x,a]; det H_n itself is never expanded.
     Part (ii)'s 2^i i! product is read with the upper bound n, the only
     reading under which the shifted products match (checked for n <= 9).
@@ -292,7 +294,7 @@ def conjecture3(n: int) -> tuple:
         ("conjecture3ii", psi_ak2, _c3_rhs_part2),
     ):
         start = time.perf_counter()
-        image = determinant(hankel([phi_k(psi(k)) for k in range(2 * n + 1)]))
+        image = determinant(hankel([moment(psi, k) for k in range(2 * n + 1)]))
         notes = {"shifted_products_match": image == rhs(n, shifted=True)}
         reports.append(_report(check_id, n, image, rhs(n), start, notes))
     return tuple(reports)

@@ -3,9 +3,20 @@ the Kravchuk arguments x, a.
 
 Variables are integer codes: the generator x_i is the code i, and the two
 Kravchuk arguments come after every generator in the variable order
-x0 < x1 < ... < x < a.  Monomials are sorted tuples of (code, exponent)
-pairs with all exponents >= 1; the empty tuple is the unit monomial.
-A polynomial is stored as {monomial: nonzero int numerator} over one
+x0 < x1 < ... < x < a.  The public API speaks in monomials that are sorted
+tuples of (code, exponent) pairs with all exponents >= 1; the empty tuple
+is the unit monomial.
+
+Inside, a monomial is one packed int: every variable owns a FIELD_BITS-bit
+field, and the exponent of the variable in slot s sits at bit
+s * FIELD_BITS.  Slots are handed out in order of first use (x and a
+first), so the width of a key follows how many distinct variables the
+process has used, not the value of an index.  The top bit of each field is
+a guard bit that every stored exponent leaves clear, so the product of two
+monomials is the sum of their keys, with no carry between fields, and an
+exponent that reaches EXPONENT_LIMIT raises ExponentOverflow.
+
+A polynomial is stored as {packed monomial: nonzero int numerator} over one
 positive int denominator, with gcd(denominator, *numerators) == 1 and
 denominator 1 for zero.  The form is canonical, so equality and hashing are
 structural, and products and sums run on ints.
@@ -17,13 +28,45 @@ from bisect import insort
 from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import mul, or_
 
 # Codes for the Kravchuk arguments; every generator index lies below X.
 X = 10**9
 A = 10**9 + 1
 
 Monomial = tuple  # tuple[(var_code, exponent), ...]
+
+FIELD_BITS = 16
+# Every exponent stays below this; the field's top bit is its guard bit.
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+class ExponentOverflow(ValueError):
+    """An exponent reached EXPONENT_LIMIT."""
+
+    def __init__(self):
+        super().__init__(
+            f"exponent limit exceeded: every exponent must be below {EXPONENT_LIMIT}"
+        )
+
+
+# The slot registry, shared by the process and only ever appended to, so a
+# packed key stays valid for the life of the process.
+_CODES: list = []  # slot -> variable code
+_SLOTS: dict = {}  # variable code -> slot
+_GUARD = 0  # the guard bit of every registered field
+
+
+def _slot(code: int) -> int:
+    """The field slot of a variable code, registered on first use."""
+    global _GUARD
+    slot = _SLOTS.get(code)
+    if slot is None:
+        slot = _SLOTS[code] = len(_CODES)
+        _CODES.append(code)
+        _GUARD |= 1 << (slot * FIELD_BITS + FIELD_BITS - 1)
+    return slot
 
 
 def xvar(i: int) -> int:
@@ -53,43 +96,56 @@ def var_name(code: int) -> str:
     return f"x{code}"
 
 
-def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = dict(m1)
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
+def _pack(mono: Monomial) -> int:
+    """The packed key of a tuple monomial."""
+    m = 0
+    for v, e in mono:
+        if e < 1:
+            raise ValueError(f"monomial exponents must be >= 1, got {e}")
+        if e >= EXPONENT_LIMIT:
+            raise ExponentOverflow()
+        m += e << (_slot(v) * FIELD_BITS)
+    if m & _GUARD:  # a variable repeated in mono
+        raise ExponentOverflow()
+    return m
 
 
-def mono_deg(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def _unpack(m: int) -> Monomial:
+    """The tuple monomial of a packed key.  Each step jumps to the lowest
+    nonzero field, so the cost follows the number of variables in m, not the
+    number of slots."""
+    pairs = []
+    slot = 0
+    while m:
+        skip = ((m & -m).bit_length() - 1) // FIELD_BITS
+        m >>= skip * FIELD_BITS
+        slot += skip
+        pairs.append((_CODES[slot], m & _FIELD_MASK))
+        m >>= FIELD_BITS
+        slot += 1
+    pairs.sort()
+    return tuple(pairs)
 
 
-def mono_divides(m1: Monomial, m2: Monomial) -> bool:
-    """Does m1 divide m2?"""
-    d2 = dict(m2)
-    return all(d2.get(v, 0) >= e for v, e in m1)
+def _degree(m: int) -> int:
+    return sum(e for _, e in _unpack(m))
 
 
-def mono_div(m2: Monomial, m1: Monomial) -> Monomial:
-    """m2 / m1, assuming divisibility."""
-    exps = dict(m2)
-    for v, e in m1:
-        exps[v] -= e
-    return tuple((v, e) for v, e in sorted(exps.items()) if e)
+# x and a take the first two slots, so a polynomial in x and a alone has
+# keys below 2^32.
+_slot(X)
+_slot(A)
 
 
 class Polynomial:
     __slots__ = ("_terms", "_den", "_hash")
 
     def __init__(self, terms: dict):
-        """From {monomial: int | Fraction}, over the lcm of the denominators."""
+        """From {tuple monomial: int | Fraction}, over the lcm of the
+        denominators."""
         den = lcm(*(c.denominator for c in terms.values()))
         self._terms = {
-            m: c.numerator * (den // c.denominator) for m, c in terms.items() if c
+            _pack(m): c.numerator * (den // c.denominator) for m, c in terms.items() if c
         }
         self._den = den if self._terms else 1
         self._hash = None
@@ -114,7 +170,7 @@ class Polynomial:
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls._make({(): 1})
+        return cls._make({0: 1})
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
@@ -122,7 +178,7 @@ class Polynomial:
 
     @classmethod
     def var(cls, code: int) -> "Polynomial":
-        return cls._make({((code, 1),): 1})
+        return cls._make({1 << (_slot(code) * FIELD_BITS): 1})
 
     @staticmethod
     def sum(parts) -> "Polynomial":
@@ -156,32 +212,30 @@ class Polynomial:
 
     @property
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and () in self._terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("polynomial is not a constant")
-        return Fraction(self._terms.get((), 0), self._den)
+        return Fraction(self._terms.get(0, 0), self._den)
 
     def terms(self):
-        """(monomial, Fraction coefficient) pairs in insertion order."""
-        return ((m, Fraction(c, self._den)) for m, c in self._terms.items())
+        """(tuple monomial, Fraction coefficient) pairs in insertion order."""
+        return ((_unpack(m), Fraction(c, self._den)) for m, c in self._terms.items())
 
     def coeff(self, mono: Monomial) -> Fraction:
-        return Fraction(self._terms.get(mono, 0), self._den)
+        return Fraction(self._terms.get(_pack(mono), 0), self._den)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(mono_deg(m) for m in self._terms)
+        return max(map(_degree, self._terms))
 
     def variables(self) -> set:
-        vs = set()
-        for m in self._terms:
-            for v, _ in m:
-                vs.add(v)
-        return vs
+        """The codes of the variables in self: the fields set in the OR of
+        all keys."""
+        return {v for v, _ in _unpack(reduce(or_, self._terms, 0))}
 
     # -- ring operations ----------------------------------------------
 
@@ -220,12 +274,19 @@ class Polynomial:
         get = result.get
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = mono_mul(m1, m2)
+                m = m1 + m2
                 s = get(m, 0) + c1 * c2
                 if s:
                     result[m] = s
                 else:
                     del result[m]
+        # Each field of an OR bounds that exponent in every key, so a clear
+        # guard bit in the sum of the ORs rules out an overflow, and only a
+        # set one needs the product's keys checked.
+        if (reduce(or_, a, 0) + reduce(or_, b, 0)) & _GUARD and (
+            reduce(or_, result, 0) & _GUARD
+        ):
+            raise ExponentOverflow()
         return Polynomial._make(result, self._den * other._den)
 
     __rmul__ = __mul__
@@ -266,17 +327,16 @@ class Polynomial:
     # -- calculus & substitution --------------------------------------
 
     def diff(self, code: int) -> "Polynomial":
+        slot = _SLOTS.get(code)
+        if slot is None:
+            return Polynomial.zero()
+        shift = slot * FIELD_BITS
+        unit = 1 << shift
         result: dict = {}
         for m, c in self._terms.items():
-            d = dict(m)
-            e = d.get(code, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[code]
-            else:
-                d[code] = e - 1
-            result[tuple(sorted(d.items()))] = c * e
+            e = (m >> shift) & _FIELD_MASK
+            if e:
+                result[m - unit] = c * e
         return Polynomial._make(result, self._den)
 
     def substitute(self, bindings: dict) -> "Polynomial":
@@ -290,10 +350,16 @@ class Polynomial:
         if missing:
             names = ", ".join(var_name(v) for v in sorted(missing))
             raise KeyError(f"no substitution binding for variable(s): {names}")
-        keys = {key for m in self._terms for key in m}
-        powers = {(v, e): images[v] ** e if e > 1 else images[v] for v, e in keys}
+        powers = {}
+
+        def power(key):
+            if key not in powers:
+                v, e = key
+                powers[key] = images[v] ** e if e > 1 else images[v]
+            return powers[key]
+
         total = Polynomial.sum(
-            reduce(mul, (powers[key] for key in m), c) for m, c in self._terms.items()
+            reduce(mul, map(power, _unpack(m)), c) for m, c in self._terms.items()
         )
         return Polynomial._make(total._terms, total._den * self._den)
 
@@ -315,37 +381,54 @@ def _coerce(value) -> Polynomial:
 # -- canonical ordering and rendering ---------------------------------
 
 
-def _sorted_terms(p: Polynomial):
-    """Terms in canonical order: degree descending, then ascending
-    lexicographic comparison of the exponent vector over the polynomial's
-    variables in the order x0 < x1 < ... < x < a."""
-    varlist = sorted(p.variables())
-    index = {v: i for i, v in enumerate(varlist)}
+def _sorted_terms(p: Polynomial) -> list:
+    """(sort key, tuple monomial as a list, int numerator) rows of p in
+    canonical order: degree descending, then ascending lexicographic
+    comparison of the exponent vector over p's variables in the order
+    x0 < x1 < ... < x < a.
 
-    def key(m):
-        vec = [0] * len(varlist)
-        for v, e in m:
-            vec[index[v]] = e
-        return (-mono_deg(m), tuple(vec))
+    Each key is decoded once, lowest field first, into both the (code,
+    exponent) pairs and the sort key: the exponents re-packed with p's
+    variables in code order, the first most significant, below the negated
+    degree."""
+    codes = sorted(p.variables())
+    width = FIELD_BITS * len(codes)
+    shift = {_SLOTS[v]: width - FIELD_BITS * (i + 1) for i, v in enumerate(codes)}
+    rows = []
+    for m, c in p._terms.items():
+        pairs = []
+        key = degree = slot = 0
+        while m:
+            skip = ((m & -m).bit_length() - 1) // FIELD_BITS
+            m >>= skip * FIELD_BITS
+            slot += skip
+            e = m & _FIELD_MASK
+            pairs.append((_CODES[slot], e))
+            key += e << shift[slot]
+            degree += e
+            m >>= FIELD_BITS
+            slot += 1
+        pairs.sort()
+        rows.append(((-degree << width) + key, pairs, c))
+    rows.sort()
+    return rows
 
-    terms, den = p._terms, p._den
-    return ((m, Fraction(terms[m], den)) for m in sorted(terms, key=key))
 
-
-def _coeff_text(c: Fraction) -> str:
-    return str(c)
+def _coeff_text(num: int, den: int) -> str:
+    """num / den in lowest terms, as str(Fraction) writes it."""
+    return str(num if den == 1 else Fraction(num, den))
 
 
 def render_text(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
     parts = []
-    for i, (m, c) in enumerate(_sorted_terms(p)):
+    den = p._den
+    for i, (_, m, c) in enumerate(_sorted_terms(p)):
         sign = "-" if c < 0 else "+"
-        mag = abs(c)
         factors = [f"{var_name(v)}^{e}" if e > 1 else var_name(v) for v, e in m]
-        if not factors or mag != 1:
-            factors.insert(0, _coeff_text(mag))
+        if not factors or abs(c) != den:
+            factors.insert(0, _coeff_text(abs(c), den))
         body = "*".join(factors)
         if i == 0:
             parts.append(body if sign == "+" else "-" + body)
@@ -366,9 +449,9 @@ def render_latex(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
     parts = []
-    for i, (m, c) in enumerate(_sorted_terms(p)):
+    for i, (_, m, c) in enumerate(_sorted_terms(p)):
         sign = "-" if c < 0 else "+"
-        mag = abs(c)
+        mag = Fraction(abs(c), p._den)
         mono = "".join(
             f"{_latex_var(v)}^{{{e}}}" if e > 1 else _latex_var(v) for v, e in m
         )
@@ -390,8 +473,8 @@ def render_latex(p: Polynomial) -> str:
 def to_json_terms(p: Polynomial) -> list:
     """Stable JSON term list: [{"coeff": "p/q", "monomial": {...}}]."""
     return [
-        {"coeff": str(c), "monomial": {var_name(v): e for v, e in m}}
-        for m, c in _sorted_terms(p)
+        {"coeff": _coeff_text(c, p._den), "monomial": {var_name(v): e for v, e in m}}
+        for _, m, c in _sorted_terms(p)
     ]
 
 
@@ -420,8 +503,10 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
 
     Sparse division as in Monagan and Pearce (J. Symbolic Comput. 46, 2011):
     the remainder is one dict updated in place, and its leading monomial
-    comes off a priority queue of graded-lex keys (a list kept sorted with
-    bisect); monomials that cancelled after they were queued are skipped.
+    comes off a priority queue of (degree, packed key) pairs (a list kept
+    sorted with bisect), a graded order; any graded monomial order gives the
+    same exact quotient.  Monomials that cancelled after they were queued are
+    skipped.
     p's numerators are divided by the primitive part of q's, so by Gauss's
     lemma every quotient coefficient is an integer when the division is exact.
     """
@@ -429,39 +514,33 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
         raise ZeroDivisionError("exact_div by zero polynomial")
     if q.is_constant:
         return p / q.constant_value()
-    index = {v: i for i, v in enumerate(sorted(p.variables() | q.variables()))}
-
-    def key(m):
-        vec = [0] * len(index)
-        for v, e in m:
-            vec[index[v]] = e
-        return (mono_deg(m), vec)
-
+    guard = _GUARD
     content = gcd(*q._terms.values())
-    divisor = {m: c // content for m, c in q._terms.items()}
-    lead = max(divisor, key=key)
-    lead_c = divisor.pop(lead)
+    divisor = [(_degree(m), m, c // content) for m, c in q._terms.items()]
+    divisor.sort()
+    lead_d, lead, lead_c = divisor.pop()
     remainder = dict(p._terms)
-    queue = sorted((key(m), m) for m in remainder)
+    queue = sorted((_degree(m), m) for m in remainder)
     quotient = {}
     while queue:
-        m = queue.pop()[1]
+        d, m = queue.pop()
         c = remainder.pop(m, 0)
         if not c:
             continue
         t, r = divmod(c, lead_c)
-        if r or not mono_divides(lead, m):
+        # lead divides m iff no field borrows through its guard bit.
+        if r or ((m | guard) - lead) & guard != guard:
             raise ValueError("exact_div: division is not exact")
-        tm = mono_div(m, lead)
+        tm, td = m - lead, d - lead_d
         quotient[tm] = t
-        for m2, c2 in divisor.items():
-            m3 = mono_mul(tm, m2)
+        for d2, m2, c2 in divisor:
+            m3 = tm + m2
             s = remainder.get(m3, 0) - t * c2
             if not s:
                 del remainder[m3]
                 continue
             if m3 not in remainder:
-                insort(queue, (key(m3), m3))
+                insort(queue, (td + d2, m3))
             remainder[m3] = s
     return Polynomial._make(
         {m: c * q._den for m, c in quotient.items()}, content * p._den

@@ -13,7 +13,71 @@ from kravchuk_identities.derivations import dk1_power_coeff, kravchuk1, power_ap
 from kravchuk_identities.identities import hankel
 from kravchuk_identities.intertwine import apply_psi, psi_ak1, psi_ak2
 from kravchuk_identities.kravchuk import kravchuk, phi_k
-from kravchuk_identities.poly import A, X, Polynomial, binom_poly, mono_mul, xvar
+from kravchuk_identities.poly import A, X, Polynomial, binom_poly, xvar
+
+# -- tuple monomials: sorted (code, exponent) pairs, exponents >= 1 ------
+
+
+def mono_mul(m1: tuple, m2: tuple) -> tuple:
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    exps = dict(m1)
+    for v, e in m2:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def mono_deg(m: tuple) -> int:
+    return sum(e for _, e in m)
+
+
+def mono_divides(m1: tuple, m2: tuple) -> bool:
+    """Does m1 divide m2?"""
+    d2 = dict(m2)
+    return all(d2.get(v, 0) >= e for v, e in m1)
+
+
+def mono_div(m2: tuple, m1: tuple) -> tuple:
+    """m2 / m1, assuming divisibility."""
+    exps = dict(m2)
+    for v, e in m1:
+        exps[v] -= e
+    return tuple((v, e) for v, e in sorted(exps.items()) if e)
+
+
+def diff_fraction_terms(terms: dict, v: int) -> dict:
+    """d/dv of a {monomial: Fraction} dict."""
+    result = {}
+    for m, c in terms.items():
+        e = dict(m).get(v, 0)
+        if e:
+            result[mono_div(m, ((v, 1),))] = c * e
+    return result
+
+
+def exact_div_fraction_terms(p: dict, q: dict) -> dict:
+    """The quotient p / q of {monomial: Fraction} dicts by classical
+    division under the graded order on dense exponent vectors over the codes
+    in order; raises ValueError when q does not divide p."""
+    codes = sorted({v for m in (*p, *q) for v, _ in m})
+
+    def key(m):
+        d = dict(m)
+        return (mono_deg(m), [d.get(v, 0) for v in codes])
+
+    lead = max(q, key=key)
+    remainder, quotient = dict(p), {}
+    while remainder:
+        m = max(remainder, key=key)
+        if not mono_divides(lead, m):
+            raise ValueError("not exact")
+        t = remainder[m] / q[lead]
+        tm = mono_div(m, lead)
+        quotient[tm] = t
+        remainder = sum_fraction_terms([remainder, {mono_mul(tm, m2): -t * c for m2, c in q.items()}])
+    return quotient
 
 
 def mul_fraction_terms(a: dict, b: dict) -> dict:

@@ -205,6 +205,22 @@ def test_cli_derivation_apply(capsys):
     assert parse_expr(capsys.readouterr().out.strip()) == 2 * x1
     assert run(["derivation", "apply", "--kind", "k1", "x1^2 - 2*x2*x0"]) == 0
     assert capsys.readouterr().out.strip() == "0"
+    # A packed monomial's width follows the number of variables in use, not
+    # the index value: x999999999 takes one field like x1.
+    assert run(["derivation", "apply", "--kind", "w", "x999999999"]) == 0
+    assert capsys.readouterr().out == "999999999*x999999998\n"
+
+
+def test_cli_exponent_limit(capsys):
+    # 8 * 4096 = 32768 = EXPONENT_LIMIT; one less still fits its field.
+    below = "*".join(["x1^4096"] * 7 + ["x1^4095"])
+    assert run(["derivation", "apply", "--kind", "w", below]) == 0
+    assert capsys.readouterr().out == "32767*x0*x1^32766\n"
+    for expr in ("*".join(["x1^4096"] * 8), "((x1^4096)^4096)^4096"):
+        assert run(["derivation", "apply", "--kind", "w", expr]) == 2, expr
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: exponent limit exceeded"), expr
+        assert captured.out == "", expr
 
 
 def test_cli_intertwine_apply(capsys):
@@ -533,4 +549,7 @@ def test_cli_cold_run_imports_no_argparse_gettext_or_locale():
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 1]  # conjecture 1 is refuted at n = 2
     assert not {"argparse", "gettext", "locale"} & set(result["added"])
+    # The record classes are namedtuples and a SimpleNamespace, not
+    # dataclasses, which import inspect.
+    assert not {"dataclasses", "inspect"} & set(result["added"])
 

@@ -211,6 +211,24 @@ def test_conjecture3_runtime_counts_the_shared_determinant(monkeypatch):
         assert rep.runtime_ms >= 50
 
 
+def test_conjecture3_sweep_expands_each_moment_once(monkeypatch):
+    calls = []
+
+    def counting_phi_k(p):
+        calls.append(p)
+        return phi_k(p)
+
+    monkeypatch.setattr(identities, "phi_k", counting_phi_k)
+    identities.moment.cache_clear()
+    try:
+        for n in range(1, 5):
+            conjecture3(n)
+    finally:
+        identities.moment.cache_clear()
+    # entries 0..8 of each part's Hankel matrices, once each
+    assert len(calls) == 2 * 9
+
+
 @given(polynomials(max_var=5, max_exp=1, max_terms=3))
 @settings(max_examples=25, deadline=None)
 def test_phi_intertwines_kravchuk_derivations(p):

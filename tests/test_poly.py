@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kravchuk_identities.poly import (
+    EXPONENT_LIMIT,
     A,
+    ExponentOverflow,
     Polynomial,
     X,
     binom_poly,
@@ -19,6 +24,9 @@ from kravchuk_identities.poly import (
 from conftest import polynomials, small_fractions
 from oracles import (
     determinant_laplace,
+    diff_fraction_terms,
+    exact_div_fraction_terms,
+    mono_deg,
     mul_fraction_terms,
     substitute_fraction_terms,
     sum_fraction_terms,
@@ -302,16 +310,8 @@ def test_scalar_ops_diff_match_fraction_terms(p, f, n):
     assert_canonical(-p)
     assert dict((-p).terms()) == {m: -c for m, c in terms.items()}
     for v in CODES:
-        expected = {}
-        for m, c in terms.items():
-            d = dict(m)
-            if d.get(v):
-                e = d.pop(v)
-                if e > 1:
-                    d[v] = e - 1
-                expected[tuple(sorted(d.items()))] = c * e
         assert_canonical(p.diff(v))
-        assert dict(p.diff(v).terms()) == expected
+        assert dict(p.diff(v).terms()) == diff_fraction_terms(terms, v)
 
 
 @given(
@@ -352,3 +352,114 @@ def test_exact_div_inverts_product(p, q):
     if not q.is_constant:
         with pytest.raises(ValueError):
             exact_div(p * q + 1, q)
+
+
+# -- packed monomials, against the tuple-monomial oracles -----------------
+
+# Wide and sparse codes: slots follow first use, never the index value.
+WIDE_CODES = (xvar(0), xvar(5), xvar(40), xvar(999999999), X, A)
+
+
+@st.composite
+def wide_terms(draw, max_terms=4):
+    """{monomial: Fraction} over WIDE_CODES with exponents up to 3."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = draw(st.lists(st.integers(0, 3), min_size=6, max_size=6))
+        mono = tuple((v, e) for v, e in zip(WIDE_CODES, exps) if e)
+        terms[mono] = draw(st.fractions(-30, 30, max_denominator=12))
+    return {m: c for m, c in terms.items() if c}
+
+
+@given(wide_terms(), wide_terms(), wide_terms(max_terms=2))
+@settings(max_examples=100, deadline=None)
+def test_packed_monomials_match_tuple_oracles(p_terms, q_terms, r_terms):
+    p, q = Polynomial(p_terms), Polynomial(q_terms)
+    assert dict(p.terms()) == p_terms
+    assert p.variables() == {v for m in p_terms for v, _ in m}
+    assert p.degree() == max(map(mono_deg, p_terms), default=-1)
+    product = mul_fraction_terms(p_terms, q_terms)
+    assert dict((p * q).terms()) == product
+    for v in WIDE_CODES:
+        assert dict(p.diff(v).terms()) == diff_fraction_terms(p_terms, v)
+    bindings = {v: Polynomial(r_terms) + i for i, v in enumerate(WIDE_CODES)}
+    expected = substitute_fraction_terms(
+        p_terms, {v: dict(image.terms()) for v, image in bindings.items()}
+    )
+    assert dict(p.substitute(bindings).terms()) == expected
+    if q_terms:
+        assert dict(exact_div(p * q, q).terms()) == exact_div_fraction_terms(
+            product, q_terms
+        )
+        dividend = dict((p * q + Polynomial(r_terms)).terms())
+        try:
+            quotient = exact_div_fraction_terms(dividend, q_terms)
+        except ValueError:
+            with pytest.raises(ValueError):
+                exact_div(Polynomial(dividend), q)
+        else:
+            assert dict(exact_div(Polynomial(dividend), q).terms()) == quotient
+
+
+def test_exponent_limit():
+    top = EXPONENT_LIMIT - 1
+    assert EXPONENT_LIMIT == 2**15
+    # the constructor
+    assert Polynomial({((xvar(1), top),): 1}) == x1**top
+    with pytest.raises(ExponentOverflow):
+        Polynomial({((xvar(1), EXPONENT_LIMIT),): 1})
+    # products, in one field among several
+    half = x0 * x1 ** (EXPONENT_LIMIT // 2) * a
+    assert (half * (x1 ** (EXPONENT_LIMIT // 2 - 1))).coeff(
+        ((xvar(0), 1), (xvar(1), top), (A, 1))
+    ) == 1
+    with pytest.raises(ExponentOverflow):
+        half * half
+    with pytest.raises(ExponentOverflow):
+        x**top * (x + 1)
+    # powers
+    assert (a**top).degree() == top
+    with pytest.raises(ExponentOverflow):
+        a**EXPONENT_LIMIT
+    with pytest.raises(ExponentOverflow):
+        (x0 * a) ** 2**40
+    # substitution
+    assert (x1**top).substitute({xvar(1): x2}) == x2**top
+    with pytest.raises(ExponentOverflow):
+        (x1 ** (EXPONENT_LIMIT // 2)).substitute({xvar(1): x2**2})
+    assert issubclass(ExponentOverflow, ValueError)
+
+
+# Runs in a fresh interpreter, so that the variables take their slots in the
+# order given on the command line.
+_RENDER_AFTER = """
+import json, sys
+from kravchuk_identities.poly import *
+for i in map(int, sys.argv[1:]):
+    Polynomial.var(xvar(i))
+x2, x5, x = Polynomial.var(2), Polynomial.var(5), Polynomial.var(X)
+p = 3 * x5**2 * x2 - x2**3 + x5 * x2 * x / 2 - x5 + 7
+print(render_text(p), render_latex(p), json.dumps(to_json_terms(p)), sep="\\n")
+"""
+
+
+def test_render_does_not_depend_on_slot_order():
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _RENDER_AFTER, *order],
+            capture_output=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=60,
+        ).stdout
+        for order in (["5", "2"], ["2", "5"])
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].decode().splitlines() == [
+        "1/2*x2*x5*x + 3*x2*x5^2 - x2^3 - x5 + 7",
+        "\\frac{1}{2}\\,x_{2}x_{5}x + 3\\,x_{2}x_{5}^{2} - x_{2}^{3} - x_{5} + 7",
+        '[{"coeff": "1/2", "monomial": {"x2": 1, "x5": 1, "x": 1}}, '
+        '{"coeff": "3", "monomial": {"x2": 1, "x5": 2}}, '
+        '{"coeff": "-1", "monomial": {"x2": 3}}, '
+        '{"coeff": "-1", "monomial": {"x5": 1}}, {"coeff": "7", "monomial": {}}]',
+    ]
