@@ -350,16 +350,11 @@ class Polynomial:
         if missing:
             names = ", ".join(var_name(v) for v in sorted(missing))
             raise KeyError(f"no substitution binding for variable(s): {names}")
-        powers = {}
-
-        def power(key):
-            if key not in powers:
-                v, e = key
-                powers[key] = images[v] ** e if e > 1 else images[v]
-            return powers[key]
-
+        terms = [(_unpack(m), c) for m, c in self._terms.items()]
+        keys = {key for m, _ in terms for key in m}
+        powers = {(v, e): images[v] ** e if e > 1 else images[v] for v, e in keys}
         total = Polynomial.sum(
-            reduce(mul, map(power, _unpack(m)), c) for m, c in self._terms.items()
+            reduce(mul, (powers[key] for key in m), c) for m, c in terms
         )
         return Polynomial._make(total._terms, total._den * self._den)
 

@@ -76,7 +76,8 @@ def exact_div_fraction_terms(p: dict, q: dict) -> dict:
         t = remainder[m] / q[lead]
         tm = mono_div(m, lead)
         quotient[tm] = t
-        remainder = sum_fraction_terms([remainder, {mono_mul(tm, m2): -t * c for m2, c in q.items()}])
+        step = {mono_mul(tm, m2): -t * c for m2, c in q.items()}
+        remainder = sum_fraction_terms([remainder, step])
     return quotient
 
 
