@@ -406,6 +406,10 @@ def run(argv) -> int:
         return 2
     except BrokenPipeError:
         raise  # the reader closed stdout; main exits quietly
+    except MemoryError:
+        # Exit 1 means "refuted"; running out of memory is no verdict.
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,9 +15,9 @@ from math import factorial
 from types import SimpleNamespace
 
 from . import arith
-from .derivations import dixmier_sigma, is_in_kernel, kravchuk1, kravchuk2, weitzenbock
+from .derivations import is_in_kernel, kravchuk1, weitzenbock
 from .intertwine import apply_psi, psi_ak1, psi_ak2
-from .kravchuk import phi_k
+from .kravchuk import kravchuk, phi_k
 from .poly import (
     A,
     X,
@@ -121,25 +121,22 @@ def classify(
 
 
 # -- conjectures 1 and 2 ------------------------------------------------
-
-
-def _phi_sigma(D, n: int) -> Polynomial:
-    """phi_K(sigma(x_n)) for D; phi_K(x0) = K_0 = 1, so sigma's x0
-    denominator drops out."""
-    return phi_k(dixmier_sigma(D, n).numerator)
+# phi_K o D_K2 = d/da o phi_K, phi_K o D_K1 = -1/2 d/dx o phi_K, D(x_1) = x_0
+# and phi_K(x_0) = 1: phi_K(sigma(x_n)) is the Taylor series of K_n on a slice.
 
 
 def conjecture1(n: int) -> IdentityReport:
-    """phi_K(sigma(x_n)) for D_K1 versus the conjectured closed product."""
+    """phi_K(sigma(x_n)) = K_n(a/2, a) for D_K1 versus the conjectured product;
+    by (1-z^2)^(a/2) it is (-1)^m C(a/2, m) for n = 2m: ratio exactly 1/n!."""
     if n < 2:
         raise ValueError(f"conjecture1: n must be >= 2, got {n}")
     start = time.perf_counter()
-    lhs = _phi_sigma(kravchuk1, n)
+    a = Polynomial.var(A)
+    lhs = kravchuk(n).substitute({X: a / 2, A: a})
     if n % 2 == 1:
         rhs = Polynomial.zero()
     else:
         m = n // 2
-        a = Polynomial.var(A)
         rhs = Polynomial.constant((-1) ** m * arith.double_factorial(2 * m - 1))
         for j in range(m):
             rhs = rhs * (a - 2 * j)
@@ -147,16 +144,18 @@ def conjecture1(n: int) -> IdentityReport:
 
 
 def conjecture2(n: int) -> IdentityReport:
-    """phi_K(sigma(x_n)) for D_K2 versus 0 (odd n) or (-1)^m C(x,m), n = 2m."""
+    """phi_K(sigma(x_n)) = K_n(x, 2x) for D_K2 versus 0 (odd n) or
+    (-1)^m C(x,m), n = 2m; the generating function (1-z^2)^x proves it."""
     if n < 2:
         raise ValueError(f"conjecture2: n must be >= 2, got {n}")
     start = time.perf_counter()
-    lhs = _phi_sigma(kravchuk2, n)
+    x = Polynomial.var(X)
+    lhs = kravchuk(n).substitute({X: x, A: 2 * x})
     if n % 2 == 1:
         rhs = Polynomial.zero()
     else:
         m = n // 2
-        rhs = binom_poly(Polynomial.var(X), m) * (-1) ** m
+        rhs = binom_poly(x, m) * (-1) ** m
     return _report("conjecture2", n, lhs, rhs, start)
 
 

@@ -13,22 +13,30 @@ from functools import lru_cache
 from .poly import Polynomial, generators, xvar
 
 
-@lru_cache(maxsize=None)
+# kind -> {n: row n}, holding only the rows that were asked for.
+_ROWS: dict = {}
+
+
 def _row(kind: str, n: int) -> tuple:
     """Row n, indices 0..n, of T(n,i) = n! [z^n] tanh(z)^i (kind "ak1") or
     B(n,k) = n! [z^n] (e^z - 1)^k = k! S(n,k) (kind "ak2"), from the
     derivatives of the generating functions: T(n+1,i) = i (T(n,i-1) -
     T(n,i+1)) and B(n+1,k) = k (B(n,k) + B(n,k-1)), T(0,0) = B(0,0) = 1."""
-    if n == 0:
-        return (1,)
-    # Fill the cache from the bottom, so that a cold row never recurses
-    # more than one call deep.
-    for m in range(1, n - 1):
-        _row(kind, m)
-    prev = _row(kind, n - 1) + (0, 0)
-    if kind == "ak1":
-        return (0,) + tuple(i * (prev[i - 1] - prev[i + 1]) for i in range(1, n + 1))
-    return (0,) + tuple(k * (prev[k] + prev[k - 1]) for k in range(1, n + 1))
+    rows = _ROWS.setdefault(kind, {0: (1,)})
+    if n in rows:
+        return rows[n]
+    # Step up from the highest cached row below n, keeping only the
+    # previous row: a cold row n holds O(n) integers, not O(n^2).
+    start = max(m for m in rows if m < n)
+    row = rows[start]
+    for m in range(start + 1, n + 1):
+        prev = row + (0, 0)
+        if kind == "ak1":
+            row = (0,) + tuple(i * (prev[i - 1] - prev[i + 1]) for i in range(1, m + 1))
+        else:
+            row = (0,) + tuple(k * (prev[k] + prev[k - 1]) for k in range(1, m + 1))
+    rows[n] = row
+    return row
 
 
 def t_coeff(n: int, i: int) -> int:

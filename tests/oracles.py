@@ -9,7 +9,12 @@ from fractions import Fraction
 from math import factorial
 
 from kravchuk_identities import arith, series
-from kravchuk_identities.derivations import dk1_power_coeff, kravchuk1, power_apply
+from kravchuk_identities.derivations import (
+    dixmier_sigma,
+    dk1_power_coeff,
+    kravchuk1,
+    power_apply,
+)
 from kravchuk_identities.identities import hankel
 from kravchuk_identities.intertwine import apply_psi, psi_ak1, psi_ak2
 from kravchuk_identities.kravchuk import kravchuk, phi_k
@@ -171,6 +176,12 @@ def dk1_scale_by_iteration(k: int) -> Fraction:
     iterated derivation."""
     iterated = power_apply(kravchuk1, Polynomial.var(xvar(k)), k)
     return iterated.coeff(((xvar(0), 1),)) / arith.s_upper(k, k)
+
+
+def phi_sigma(D, n: int) -> Polynomial:
+    """phi_K(sigma(x_n)) for D from the Dixmier map itself; phi_K(x0) = K_0 =
+    1, so sigma's x0 denominator drops out."""
+    return phi_k(dixmier_sigma(D, n).numerator)
 
 
 def _k_double_sum(n: int, coeff) -> Polynomial:

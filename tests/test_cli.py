@@ -331,6 +331,26 @@ def test_module_entry_point_closed_stdout_exits_2(n):
     assert proc.stderr == ""
 
 
+def test_module_entry_point_out_of_memory_exits_2():
+    # D(x10000) for D_K2 peaks near 465 MB; under a 120 MB address space it
+    # runs out of memory, which is an error (exit 2), not "refuted" (exit 1).
+    resource = pytest.importorskip("resource")
+    limit = 120 * 1024 * 1024
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = _run_module(
+        ["derivation", "apply", "--kind", "k2", "x10000"],
+        capture_output=True,
+        preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    # The one error line, no traceback.
+    assert proc.stderr == "error: out of memory\n"
+
+
 # -- the command line against the argparse oracle ------------------------
 
 MALFORMED = [

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 from kravchuk_identities import identities
-from kravchuk_identities.derivations import apply, cayley_k1, kravchuk1, kravchuk2
+from kravchuk_identities.derivations import (
+    apply,
+    cayley_k1,
+    dixmier_sigma,
+    kravchuk1,
+    kravchuk2,
+)
 from kravchuk_identities.identities import (
     CONSTANT,
     MIXED,
@@ -27,10 +33,23 @@ from kravchuk_identities.identities import (
     proportional,
 )
 from kravchuk_identities.kravchuk import kravchuk
-from kravchuk_identities.poly import A, X, Polynomial, determinant, xvar
+from kravchuk_identities.poly import (
+    A,
+    X,
+    Polynomial,
+    binom_poly,
+    determinant,
+    generators,
+    xvar,
+)
 
 from conftest import polynomials
-from oracles import conjecture1_double_sum, conjecture2_double_sum, conjecture3_expanded
+from oracles import (
+    conjecture1_double_sum,
+    conjecture2_double_sum,
+    conjecture3_expanded,
+    phi_sigma,
+)
 
 x0, x1, x2, x3, x4, x5 = (Polynomial.var(xvar(i)) for i in range(6))
 a = Polynomial.var(A)
@@ -134,6 +153,39 @@ def test_conjectures_1_2_match_closed_power_double_sums():
     for n in range(2, 13):
         assert conjecture1(n).image == conjecture1_double_sum(n)
         assert conjecture2(n).image == conjecture2_double_sum(n)
+
+
+def test_conjectures_1_2_match_phi_of_dixmier_sigma():
+    # the slice K_n(a/2, a) / K_n(x, 2x) against phi_K(sigma(x_n)) itself
+    for n in range(2, 21):
+        assert conjecture1(n).image == phi_sigma(kravchuk1, n)
+        assert conjecture2(n).image == phi_sigma(kravchuk2, n)
+
+
+def test_conjectures_1_2_proved_values():
+    # (1-z^2)^(a/2) and (1-z^2)^x: 0 for odd n, (-1)^m C(., m) for n = 2m
+    for n in range(2, 21):
+        m, odd = divmod(n, 2)
+        c1, c2 = conjecture1(n).image, conjecture2(n).image
+        if odd:
+            assert c1.is_zero and c2.is_zero
+        else:
+            assert c1 == binom_poly(a / 2, m) * (-1) ** m
+            assert c2 == binom_poly(x, m) * (-1) ** m
+
+
+@given(polynomials(max_var=2, max_exp=2))
+@settings(max_examples=25, deadline=None)
+def test_phi_of_dixmier_sigma_is_phi_on_the_slice(f):
+    # sigma is the ring map x_v -> sigma(x_v); phi_K(x0) = 1 drops each
+    # image's x0 denominator, so the numerators stand in for sigma(x_v).
+    # Odd generators map to 0 on both sides, so f is also read on the even
+    # ones x_v -> x_2v, where no term vanishes.
+    even = f.substitute({v: Polynomial.var(xvar(2 * v)) for v in generators(f)})
+    for D, on_slice in ((kravchuk1, {X: a / 2, A: a}), (kravchuk2, {X: x, A: 2 * x})):
+        for g in (f, even):
+            sigma = {v: dixmier_sigma(D, v).numerator for v in generators(g)}
+            assert phi_k(g.substitute(sigma)) == phi_k(g).substitute(on_slice)
 
 
 def test_conjecture2_verifies():

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -63,13 +64,40 @@ def test_cold_coeff_rows_recursion_depth_is_bounded():
         depth += 1
         frame = frame.f_back
     limit = sys.getrecursionlimit()
-    intertwine._row.cache_clear()
+    intertwine._ROWS.clear()
     sys.setrecursionlimit(depth + 20)
     try:
         t, b = t_coeff(60, 60), b_coeff(60, 60)
     finally:
         sys.setrecursionlimit(limit)
     assert t == b == math.factorial(60)
+
+
+def test_cold_rows_cache_only_the_requested_rows():
+    # A cold row steps up from the highest cached row below it and keeps
+    # only the rows asked for; any request order gives the same rows.
+    intertwine._ROWS.clear()
+    kinds = ("ak1", "ak2")
+    ascending = {kind: [intertwine._row(kind, n) for n in range(121)] for kind in kinds}
+    intertwine._ROWS.clear()
+    for kind in kinds:
+        for n in (120, 40, 80, 100, 7):
+            assert intertwine._row(kind, n) == ascending[kind][n]
+        assert sorted(intertwine._ROWS[kind]) == [0, 7, 40, 80, 100, 120]
+
+
+def test_cold_row_memory_is_one_row_deep():
+    # Row 500 of ak2 is about 0.25 MB (0.53 MB peak to build); caching rows
+    # 1..500 on the way peaked at 42 MB.
+    intertwine._ROWS.clear()
+    tracemalloc.start()
+    try:
+        intertwine._row("ak2", 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        intertwine._ROWS.clear()
+    assert peak < 4_000_000
 
 
 def test_genfun_oracles():
