@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from types import SimpleNamespace
 
@@ -269,21 +268,96 @@ def _c3_rhs_part2(n: int, shifted: bool = False) -> Polynomial:
     return rhs
 
 
-@lru_cache(maxsize=None)
+class _Chebyshev:
+    """The Chebyshev algorithm (Gautschi, Orthogonal Polynomials, 2004,
+    sec. 2.1.7) on the moments mu_l = phi_K(psi(x_l)), grown in place one n
+    at a time and never restarted.
+
+    sigma[k, l] = sigma_{k,l}, with sigma_{0,l} = mu_l.  alpha[k] = r_k -
+    r_(k-1) with r_k = sigma_{k,k+1} / sigma_{k,k}, beta[0] = mu_0 and
+    beta[k] = sigma_{k,k} / sigma_{k-1,k-1} are the coefficients of the
+    three-term recurrence of the moments' orthogonal polynomials.  By
+    Heilermann's formula the Hankel determinant det[mu_(i+j)]_{i,j<=n} is
+    dets[n] = sigma_{0,0} sigma_{1,1} ... sigma_{n,n}.  Every division is
+    exact_div, which raises when it is not exact.
+    """
+
+    def __init__(self, psi):
+        self.psi = psi
+        self.sigma: dict = {}
+        self.alpha: list = []
+        self.beta: list = []
+        self.dets: list = []
+        self._ratio = 0  # r_(k-1) for the next alpha[k]
+
+    def det(self, n: int) -> Polynomial:
+        while len(self.dets) <= n:
+            self._step()
+        return self.dets[n]
+
+    def _step(self) -> None:
+        """dets[m] from dets[m-1]: rows k < m gain sigma_{k,l} for
+        l = 2m-k-1, 2m-k, then alpha[m-1] and beta[m-1] give sigma_{m,m}."""
+        m = len(self.dets)
+        if not m:
+            self.dets.append(moment(self.psi, 0))
+            return
+        sigma, alpha, beta = self.sigma, self.alpha, self.beta
+        for l in (2 * m - 1, 2 * m):
+            moment(self.psi, l)  # row 0
+        for k in range(1, m):
+            for l in (2 * m - k - 1, 2 * m - k):
+                sigma[k, l] = _sigma_entry(sigma, alpha, beta, k, l)
+        j = m - 1
+        ratio = exact_div(sigma[j, j + 1], sigma[j, j])
+        alpha.append(ratio - self._ratio)
+        self._ratio = ratio
+        beta.append(exact_div(sigma[j, j], sigma[j - 1, j - 1]) if j else sigma[0, 0])
+        sigma[m, m] = _sigma_entry(sigma, alpha, beta, m, m)
+        self.dets.append(self.dets[-1] * sigma[m, m])
+
+
+def _sigma_entry(sigma: dict, alpha: list, beta: list, k: int, l: int) -> Polynomial:
+    """sigma_{k,l} = sigma_{k-1,l+1} - alpha_(k-1) sigma_{k-1,l}
+    - beta_(k-1) sigma_{k-2,l}, where sigma_{-1,l} = 0."""
+    entry = sigma[k - 1, l + 1] - alpha[k - 1] * sigma[k - 1, l]
+    if k >= 2:
+        entry = entry - beta[k - 1] * sigma[k - 2, l]
+    return entry
+
+
+# psi -> its _Chebyshev table.  Row 0 holds the moments, so clearing the
+# moment cache starts every table afresh.
+_TABLES: dict = {}
+
+
+def _table(psi) -> _Chebyshev:
+    if psi not in _TABLES:
+        _TABLES[psi] = _Chebyshev(psi)
+    return _TABLES[psi]
+
+
 def moment(psi, k: int) -> Polynomial:
-    """phi_K(psi(x_k)), entry k of the conjecture-3 Hankel matrices; cached,
-    so a sweep over n expands each entry once."""
-    return phi_k(psi(k))
+    """phi_K(psi(x_k)), entry k of the conjecture-3 Hankel matrices; kept in
+    row 0 of psi's table, so a sweep over n expands each entry once."""
+    sigma = _table(psi).sigma
+    if (0, k) not in sigma:
+        sigma[0, k] = phi_k(psi(k))
+    return sigma[0, k]
+
+
+moment.cache_clear = _TABLES.clear
 
 
 def conjecture3(n: int) -> tuple:
     """Both parts of the Hankel-determinant conjecture at index n.
 
     phi_K o psi is a ring homomorphism, so the image of det H_n is the
-    determinant of the Hankel matrix on the moments phi_K(psi(x_0)), ...,
-    phi_K(psi(x_2n)), taken over Q[x,a]; det H_n itself is never expanded.
+    Hankel determinant on the moments phi_K(psi(x_0)), ..., phi_K(psi(x_2n))
+    over Q[x,a], read off psi's Chebyshev table; det H_n itself is never
+    expanded, and a sweep over n computes each table entry once.
     Part (ii)'s 2^i i! product is read with the upper bound n, the only
-    reading under which the shifted products match (checked for n <= 9).
+    reading under which the shifted products match (checked for n <= 20).
     """
     if n < 1:
         raise ValueError(f"conjecture3: n must be >= 1, got {n}")
@@ -293,7 +367,7 @@ def conjecture3(n: int) -> tuple:
         ("conjecture3ii", psi_ak2, _c3_rhs_part2),
     ):
         start = time.perf_counter()
-        image = determinant(hankel([moment(psi, k) for k in range(2 * n + 1)]))
+        image = _table(psi).det(n)
         notes = {"shifted_products_match": image == rhs(n, shifted=True)}
         reports.append(_report(check_id, n, image, rhs(n), start, notes))
     return tuple(reports)

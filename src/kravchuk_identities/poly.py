@@ -51,6 +51,24 @@ class ExponentOverflow(ValueError):
         )
 
 
+# Every printed numerator and denominator has at most this many decimal
+# digits, the default limit of Python's int-to-str conversion.  An int of at
+# most _DIGIT_BITS bits is below 2^14284 < 10^4300, so only a longer one is
+# compared with 10^DIGIT_LIMIT.
+DIGIT_LIMIT = 4300
+_DIGIT_BITS = 14284
+
+
+class DigitOverflow(ValueError):
+    """A coefficient to print has more than DIGIT_LIMIT digits."""
+
+    def __init__(self):
+        super().__init__(
+            f"coefficient too large to print: every numerator and denominator"
+            f" must have at most {DIGIT_LIMIT} digits"
+        )
+
+
 # The slot registry, shared by the process and only ever appended to, so a
 # packed key stays valid for the life of the process.
 _CODES: list = []  # slot -> variable code
@@ -380,17 +398,22 @@ def _sorted_terms(p: Polynomial) -> list:
     """(sort key, tuple monomial as a list, int numerator) rows of p in
     canonical order: degree descending, then ascending lexicographic
     comparison of the exponent vector over p's variables in the order
-    x0 < x1 < ... < x < a.
+    x0 < x1 < ... < x < a.  A numerator or denominator past DIGIT_LIMIT
+    digits raises DigitOverflow before any text is built.
 
     Each key is decoded once, lowest field first, into both the (code,
     exponent) pairs and the sort key: the exponents re-packed with p's
     variables in code order, the first most significant, below the negated
     degree."""
+    if p._den.bit_length() > _DIGIT_BITS and p._den >= 10**DIGIT_LIMIT:
+        raise DigitOverflow()
     codes = sorted(p.variables())
     width = FIELD_BITS * len(codes)
     shift = {_SLOTS[v]: width - FIELD_BITS * (i + 1) for i, v in enumerate(codes)}
     rows = []
     for m, c in p._terms.items():
+        if c.bit_length() > _DIGIT_BITS and abs(c) >= 10**DIGIT_LIMIT:
+            raise DigitOverflow()
         pairs = []
         key = degree = slot = 0
         while m:
@@ -545,31 +568,28 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
 def determinant(matrix) -> Polynomial:
     """Exact determinant of a square matrix of polynomials.
 
-    Fraction-free Bareiss elimination: after step k every entry of the
-    trailing block is a (k+2) x (k+2) minor, so the division by the
-    previous pivot is exact and entries never grow into fractions of
-    polynomials.
+    Laplace expansion down the columns, each minor memoized by its set of
+    remaining rows: at most n 2^(n-1) entry products instead of n!, with no
+    division, so sparse entries stay sparse.
     """
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise ValueError("determinant: matrix must be square and non-empty")
     rows = [[_coerce(e) for e in row] for row in matrix]
-    sign = 1
-    denom = Polynomial.one()
-    for k in range(n - 1):
-        if rows[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not rows[i][k].is_zero:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial.zero()
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = rows[i][j] * pivot - rows[i][k] * rows[k][j]
-                rows[i][j] = exact_div(num, denom)
-        denom = pivot
-    det = rows[n - 1][n - 1]
-    return det if sign == 1 else -det
+    minors = {(): Polynomial.one()}
+
+    def minor(remaining: tuple) -> Polynomial:
+        """Determinant of the remaining rows on the last len(remaining) columns."""
+        if remaining not in minors:
+            col = n - len(remaining)
+            total = Polynomial.zero()
+            for pos, i in enumerate(remaining):
+                entry = rows[i][col]
+                if entry.is_zero:
+                    continue
+                cof = entry * minor(remaining[:pos] + remaining[pos + 1 :])
+                total = total + cof if pos % 2 == 0 else total - cof
+            minors[remaining] = total
+        return minors[remaining]
+
+    return minor(tuple(range(n)))

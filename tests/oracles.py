@@ -18,7 +18,7 @@ from kravchuk_identities.derivations import (
 from kravchuk_identities.identities import hankel
 from kravchuk_identities.intertwine import apply_psi, psi_ak1, psi_ak2
 from kravchuk_identities.kravchuk import kravchuk, phi_k
-from kravchuk_identities.poly import A, X, Polynomial, binom_poly, xvar
+from kravchuk_identities.poly import A, X, Polynomial, binom_poly, exact_div, xvar
 
 # -- tuple monomials: sorted (code, exponent) pairs, exponents >= 1 ------
 
@@ -140,34 +140,38 @@ def kravchuk_binomial_sum(n: int) -> Polynomial:
     return total
 
 
-def determinant_laplace(matrix) -> Polynomial:
-    """Laplace expansion down the columns, each minor memoized by its set of
-    remaining rows (at most n 2^(n-1) entry products instead of n!)."""
+def determinant_bareiss(matrix) -> Polynomial:
+    """Fraction-free Bareiss elimination: after step k every entry of the
+    trailing block is a (k+2) x (k+2) minor, so the division by the previous
+    pivot is exact and entries never grow into fractions of polynomials."""
     n = len(matrix)
-    minors = {(): Polynomial.one()}
-
-    def minor(remaining: tuple) -> Polynomial:
-        """Determinant of the remaining rows on the last len(remaining) columns."""
-        if remaining not in minors:
-            col = n - len(remaining)
-            total = Polynomial.zero()
-            for pos, i in enumerate(remaining):
-                entry = matrix[i][col]
-                if entry.is_zero:
-                    continue
-                cof = entry * minor(remaining[:pos] + remaining[pos + 1 :])
-                total = total + cof if pos % 2 == 0 else total - cof
-            minors[remaining] = total
-        return minors[remaining]
-
-    return minor(tuple(range(n)))
+    rows = [list(row) for row in matrix]
+    sign = 1
+    denom = Polynomial.one()
+    for k in range(n - 1):
+        if rows[k][k].is_zero:
+            for i in range(k + 1, n):
+                if not rows[i][k].is_zero:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return Polynomial.zero()
+        pivot = rows[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = rows[i][j] * pivot - rows[i][k] * rows[k][j]
+                rows[i][j] = exact_div(num, denom)
+        denom = pivot
+    det = rows[n - 1][n - 1]
+    return det if sign == 1 else -det
 
 
 def conjecture3_expanded(n: int) -> tuple:
     """The images phi_K(psi_AK1(det H_n)) and phi_K(psi_AK2(det H_n)), with
     det H_n expanded over the generators x_0..x_2n first."""
     generators = [Polynomial.var(xvar(k)) for k in range(2 * n + 1)]
-    det_h = determinant_laplace(hankel(generators))
+    det_h = determinant_bareiss(hankel(generators))
     return tuple(phi_k(apply_psi(psi, det_h)) for psi in (psi_ak1, psi_ak2))
 
 

@@ -223,6 +223,19 @@ def test_cli_exponent_limit(capsys):
         assert captured.out == "", expr
 
 
+def test_cli_digit_limit(capsys):
+    # (10^2150)^2 - 1 prints its 4300 nines; (10^2150)^2 has 4301 digits
+    assert run(["derivation", "apply", "--kind", "w", "((10^2150)^2-1)*x1"]) == 0
+    assert capsys.readouterr().out == "9" * 4300 + "*x0\n"
+    assert run(["derivation", "apply", "--kind", "w", "(10^2150)^2*x1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: coefficient too large to print: every numerator and"
+        " denominator must have at most 4300 digits\n"
+    )
+    assert captured.out == ""
+
+
 def test_cli_intertwine_apply(capsys):
     assert run(["intertwine", "apply", "--map", "ak2", "x2"]) == 0
     assert parse_expr(capsys.readouterr().out.strip()) == x1 + 2 * x2

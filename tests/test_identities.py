@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -32,6 +33,7 @@ from kravchuk_identities.identities import (
     phi_k,
     proportional,
 )
+from kravchuk_identities.intertwine import psi_ak1, psi_ak2
 from kravchuk_identities.kravchuk import kravchuk
 from kravchuk_identities.poly import (
     A,
@@ -254,13 +256,112 @@ def test_conjecture3_matches_expanded_route():
 
 
 def test_conjecture3_runtime_counts_the_shared_determinant(monkeypatch):
-    def slow_determinant(matrix):
-        time.sleep(0.05)
-        return determinant(matrix)
+    # each report's runtime covers the table entries its call computes
+    sigma_entry = identities._sigma_entry
 
-    monkeypatch.setattr(identities, "determinant", slow_determinant)
+    def slow_sigma_entry(*args):
+        time.sleep(0.05)
+        return sigma_entry(*args)
+
+    monkeypatch.setattr(identities, "_sigma_entry", slow_sigma_entry)
+    identities.moment.cache_clear()
     for rep in conjecture3(1):
         assert rep.runtime_ms >= 50
+
+
+def test_conjecture3_sweep_computes_each_sigma_once(monkeypatch):
+    sigma_entry = identities._sigma_entry
+    calls = Counter()
+
+    def counting_sigma_entry(sigma, alpha, beta, k, l):
+        calls[id(sigma), k, l] += 1
+        return sigma_entry(sigma, alpha, beta, k, l)
+
+    monkeypatch.setattr(identities, "_sigma_entry", counting_sigma_entry)
+    identities.moment.cache_clear()
+    for n in range(1, 7):
+        conjecture3(n)
+    # sigma_{6,6} needs rows 1..6 up to l = 12 - k, and nothing past them
+    expected = {(k, l) for k in range(1, 7) for l in range(k, 13 - k)}
+    for psi in (psi_ak1, psi_ak2):
+        table = id(identities._TABLES[psi].sigma)
+        assert {(k, l): c for (t, k, l), c in calls.items() if t == table} == dict.fromkeys(
+            expected, 1
+        )
+    assert sum(calls.values()) == 2 * len(expected)
+
+
+def test_conjecture3_is_the_laplace_hankel_determinant():
+    # the memoized Laplace expansion of det[phi_K(psi(x_(i+j)))]
+    for n in range(1, 7):
+        for psi, rep in zip((psi_ak1, psi_ak2), conjecture3(n)):
+            h = hankel([identities.moment(psi, k) for k in range(2 * n + 1)])
+            assert rep.image == determinant(h)
+
+
+def test_chebyshev_table_on_moments_with_a_factor():
+    # mu_l = (a - 2x + 1) phi_K(psi_AK2(x_l)): mu_0 != 1, so beta_0 and every
+    # division by sigma_{k,k} carry the factor
+    def scaled_psi(k):
+        return (x0 + x1) * psi_ak2(k)
+
+    try:
+        for n in range(1, 5):
+            h = hankel([identities.moment(scaled_psi, k) for k in range(2 * n + 1)])
+            assert identities._table(scaled_psi).det(n) == determinant(h)
+    finally:
+        identities._TABLES.pop(scaled_psi, None)
+
+
+def _lambda_i(k):
+    return -k * (a + k - 1)
+
+
+def _lambda_ii(k):
+    return -2 * k * (x - k + 1)
+
+
+def test_conjecture3_recurrence_closed_forms():
+    # the J-fraction of the moments: b_k = alpha_k, lambda_k = beta_k
+    conjecture3(11)
+    t_i, t_ii = (identities._TABLES[psi] for psi in (psi_ak1, psi_ak2))
+    assert t_i.beta[0] == t_ii.beta[0] == 1
+    for k in range(11):
+        assert t_i.alpha[k] == a - 2 * x
+        assert t_ii.alpha[k] == a - 2 * x + 3 * k
+    for k in range(1, 11):
+        assert t_i.beta[k] == _lambda_i(k)
+        assert t_ii.beta[k] == _lambda_ii(k)
+
+
+def test_conjecture3_shifted_products_through_20():
+    # Heilermann: det H_n = mu_0^(n+1) lambda_1^n ... lambda_n^1 with mu_0 = 1
+    for n in range(1, 21):
+        for rep, lam in zip(conjecture3(n), (_lambda_i, _lambda_ii)):
+            assert rep.verdict == REFUTED
+            assert rep.notes["shifted_products_match"]
+            expected = Polynomial.one()
+            for k in range(1, n + 1):
+                expected = expected * lam(k) ** (n + 1 - k)
+            assert rep.image == expected
+
+
+def test_conjecture3_inexact_division_raises(monkeypatch):
+    # mu_0 = phi_K(x0 + x1) = a - 2x + 1 does not divide mu_1 = phi_K(x0) = 1,
+    # and no determinant stands in for the failed division
+    def fake_psi(k):
+        return x0 + x1 if k == 0 else x0
+
+    def no_determinant(matrix):
+        raise AssertionError("fell back to a determinant")
+
+    monkeypatch.setattr(identities, "psi_ak1", fake_psi)
+    monkeypatch.setattr(identities, "determinant", no_determinant)
+    try:
+        with pytest.raises(ValueError, match="not exact"):
+            conjecture3(1)
+    finally:
+        identities._TABLES.pop(fake_psi, None)
 
 
 def test_conjecture3_sweep_expands_each_moment_once(monkeypatch):

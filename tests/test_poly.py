@@ -9,21 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kravchuk_identities.poly import (
+    DIGIT_LIMIT,
     EXPONENT_LIMIT,
     A,
+    DigitOverflow,
     ExponentOverflow,
     Polynomial,
     X,
     binom_poly,
     determinant,
     exact_div,
+    render_latex,
     render_text,
+    to_json_terms,
     xvar,
 )
 
 from conftest import polynomials, small_fractions
 from oracles import (
-    determinant_laplace,
+    determinant_bareiss,
     diff_fraction_terms,
     exact_div_fraction_terms,
     mono_deg,
@@ -172,12 +176,12 @@ def test_diff_leibniz(p, q):
 
 @given(polynomials(max_var=3, max_exp=2, max_terms=2))
 @settings(max_examples=20, deadline=None)
-def test_determinant_matches_laplace_3x3(p):
+def test_determinant_matches_bareiss_3x3(p):
     entries = [
         [p + i + j if (i + j) % 2 == 0 else p * (i + 1) - j for j in range(3)]
         for i in range(3)
     ]
-    assert determinant(entries) == determinant_laplace(entries)
+    assert determinant(entries) == determinant_bareiss(entries)
 
 
 @given(
@@ -186,9 +190,9 @@ def test_determinant_matches_laplace_3x3(p):
     )
 )
 @settings(max_examples=20, deadline=None)
-def test_determinant_matches_laplace_4x4(entries):
+def test_determinant_matches_bareiss_4x4(entries):
     matrix = [entries[4 * i : 4 * i + 4] for i in range(4)]
-    assert determinant(matrix) == determinant_laplace(matrix)
+    assert determinant(matrix) == determinant_bareiss(matrix)
 
 
 @given(
@@ -197,9 +201,9 @@ def test_determinant_matches_laplace_4x4(entries):
     )
 )
 @settings(max_examples=15, deadline=None)
-def test_determinant_matches_laplace_5x5(entries):
+def test_determinant_matches_bareiss_5x5(entries):
     matrix = [entries[5 * i : 5 * i + 5] for i in range(5)]
-    assert determinant(matrix) == determinant_laplace(matrix)
+    assert determinant(matrix) == determinant_bareiss(matrix)
 
 
 @given(
@@ -208,25 +212,25 @@ def test_determinant_matches_laplace_5x5(entries):
     )
 )
 @settings(max_examples=10, deadline=None)
-def test_determinant_matches_laplace_6x6(entries):
+def test_determinant_matches_bareiss_6x6(entries):
     matrix = [entries[6 * i : 6 * i + 6] for i in range(6)]
-    assert determinant(matrix) == determinant_laplace(matrix)
+    assert determinant(matrix) == determinant_bareiss(matrix)
 
 
-def test_determinant_matches_laplace_hankel_and_discriminant():
+def test_determinant_matches_bareiss_hankel_and_discriminant():
     from kravchuk_identities.identities import discriminant_matrix, hankel
     from kravchuk_identities.intertwine import psi_ak1, psi_ak2
     from kravchuk_identities.kravchuk import phi_k
 
     for n in range(1, 5):
         h = hankel([Polynomial.var(xvar(k)) for k in range(2 * n + 1)])
-        assert determinant(h) == determinant_laplace(h)
+        assert determinant(h) == determinant_bareiss(h)
         # the conjecture-3 matrices: Hankel on the bivariate phi_K(psi(x_k))
         for psi in (psi_ak1, psi_ak2):
             h = hankel([phi_k(psi(k)) for k in range(2 * n + 1)])
-            assert determinant(h) == determinant_laplace(h)
+            assert determinant(h) == determinant_bareiss(h)
     m = discriminant_matrix()
-    assert determinant(m) == determinant_laplace(m)
+    assert determinant(m) == determinant_bareiss(m)
 
 
 def test_render_canonical_text():
@@ -234,6 +238,20 @@ def test_render_canonical_text():
     assert render_text(x1**2 - 2 * x2 * x0) == "x1^2 - 2*x0*x2"
     assert render_text(a - 2 * x) == "a - 2*x"
     assert render_text(Polynomial.constant(Fraction(-3, 4))) == "-3/4"
+
+
+def test_render_digit_limit():
+    # DIGIT_LIMIT digits print; one more is DigitOverflow in every format,
+    # for a numerator or the denominator, before Python's own str limit
+    nines = 10**DIGIT_LIMIT - 1
+    assert render_text(x0 * nines - x1) == "-x1 + " + "9" * DIGIT_LIMIT + "*x0"
+    assert render_text(x0 / nines) == f"1/{nines}*x0"
+    assert render_latex(-x0 * nines) == "-" + "9" * DIGIT_LIMIT + "\\,x_{0}"
+    assert to_json_terms(x0 / nines)[0]["coeff"] == f"1/{nines}"
+    for p in (x0 * (nines + 1) - x1, -x0 * (nines + 1), x0 / (nines + 1)):
+        for render in (render_text, render_latex, to_json_terms):
+            with pytest.raises(DigitOverflow, match=f"at most {DIGIT_LIMIT} digits"):
+                render(p)
 
 
 def test_render_latex_golden():
