@@ -273,10 +273,11 @@ class _Chebyshev:
     sec. 2.1.7) on the moments mu_l = phi_K(psi(x_l)), grown in place one n
     at a time and never restarted.
 
-    sigma[k, l] = sigma_{k,l}, with sigma_{0,l} = mu_l.  alpha[k] = r_k -
-    r_(k-1) with r_k = sigma_{k,k+1} / sigma_{k,k}, beta[0] = mu_0 and
-    beta[k] = sigma_{k,k} / sigma_{k-1,k-1} are the coefficients of the
-    three-term recurrence of the moments' orthogonal polynomials.  By
+    sigma[k, l] = sigma_{k,l}, with sigma_{0,l} = mu_l.  alpha[k] =
+    ratios[k] - ratios[k-1] with ratios[k] = sigma_{k,k+1} / sigma_{k,k},
+    beta[0] = mu_0 and beta[k] = sigma_{k,k} / sigma_{k-1,k-1} are the
+    coefficients of the three-term recurrence of the moments' orthogonal
+    polynomials.  By
     Heilermann's formula the Hankel determinant det[mu_(i+j)]_{i,j<=n} is
     dets[n] = sigma_{0,0} sigma_{1,1} ... sigma_{n,n}.  Every division is
     exact_div, which raises when it is not exact.
@@ -288,7 +289,7 @@ class _Chebyshev:
         self.alpha: list = []
         self.beta: list = []
         self.dets: list = []
-        self._ratio = 0  # r_(k-1) for the next alpha[k]
+        self.ratios: list = []
 
     def det(self, n: int) -> Polynomial:
         while len(self.dets) <= n:
@@ -302,16 +303,18 @@ class _Chebyshev:
         if not m:
             self.dets.append(moment(self.psi, 0))
             return
-        sigma, alpha, beta = self.sigma, self.alpha, self.beta
+        sigma, alpha, beta, ratios = self.sigma, self.alpha, self.beta, self.ratios
         for l in (2 * m - 1, 2 * m):
             moment(self.psi, l)  # row 0
         for k in range(1, m):
             for l in (2 * m - k - 1, 2 * m - k):
                 sigma[k, l] = _sigma_entry(sigma, alpha, beta, k, l)
         j = m - 1
-        ratio = exact_div(sigma[j, j + 1], sigma[j, j])
-        alpha.append(ratio - self._ratio)
-        self._ratio = ratio
+        # A step cut short by an exception (say KeyboardInterrupt) may have
+        # appended these already; drop them, so that it is redone whole.
+        del ratios[j:], alpha[j:], beta[j:]
+        ratios.append(exact_div(sigma[j, j + 1], sigma[j, j]))
+        alpha.append(ratios[j] - ratios[j - 1] if j else ratios[0])
         beta.append(exact_div(sigma[j, j], sigma[j - 1, j - 1]) if j else sigma[0, 0])
         sigma[m, m] = _sigma_entry(sigma, alpha, beta, m, m)
         self.dets.append(self.dets[-1] * sigma[m, m])

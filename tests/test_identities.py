@@ -291,6 +291,27 @@ def test_conjecture3_sweep_computes_each_sigma_once(monkeypatch):
     assert sum(calls.values()) == 2 * len(expected)
 
 
+def test_conjecture3_table_survives_an_interrupted_step(monkeypatch):
+    # an exception after a step has appended alpha and beta, but before its
+    # running product, must not leave the table misaligned for the next call
+    sigma_entry = identities._sigma_entry
+    armed = [True]
+
+    def interrupted_sigma_entry(sigma, alpha, beta, k, l):
+        if armed[0] and k == l == 3:
+            armed[0] = False
+            raise RuntimeError("interrupted")
+        return sigma_entry(sigma, alpha, beta, k, l)
+
+    monkeypatch.setattr(identities, "_sigma_entry", interrupted_sigma_entry)
+    identities.moment.cache_clear()
+    with pytest.raises(RuntimeError, match="interrupted"):
+        conjecture3(5)
+    for n in range(1, 6):
+        for rep in conjecture3(n):
+            assert rep.notes["shifted_products_match"]
+
+
 def test_conjecture3_is_the_laplace_hankel_determinant():
     # the memoized Laplace expansion of det[phi_K(psi(x_(i+j)))]
     for n in range(1, 7):
