@@ -51,10 +51,11 @@ class ExponentOverflow(ValueError):
         )
 
 
-# Every printed numerator and denominator has at most this many decimal
-# digits, the default limit of Python's int-to-str conversion.  An int of at
-# most _DIGIT_BITS bits is below 2^14284 < 10^4300, so only a longer one is
-# compared with 10^DIGIT_LIMIT.
+# Every printed coefficient, in lowest terms, has a numerator and a
+# denominator of at most this many decimal digits, the default limit of
+# Python's int-to-str conversion.  An int of at most _DIGIT_BITS bits is
+# below 2^14284 < 10^4300, so only a longer one is compared with
+# 10^DIGIT_LIMIT.
 DIGIT_LIMIT = 4300
 _DIGIT_BITS = 14284
 
@@ -394,25 +395,33 @@ def _coerce(value) -> Polynomial:
 # -- canonical ordering and rendering ---------------------------------
 
 
+def _too_long(n: int) -> bool:
+    return n.bit_length() > _DIGIT_BITS and abs(n) >= 10**DIGIT_LIMIT
+
+
 def _sorted_terms(p: Polynomial) -> list:
-    """(sort key, tuple monomial as a list, int numerator) rows of p in
-    canonical order: degree descending, then ascending lexicographic
+    """(sort key, tuple monomial as a list, numerator, denominator) rows of
+    p in canonical order: degree descending, then ascending lexicographic
     comparison of the exponent vector over p's variables in the order
-    x0 < x1 < ... < x < a.  A numerator or denominator past DIGIT_LIMIT
-    digits raises DigitOverflow before any text is built.
+    x0 < x1 < ... < x < a.  Each coefficient is in lowest terms, the sign on
+    its numerator, as it is printed; one with a numerator or denominator
+    past DIGIT_LIMIT digits raises DigitOverflow before any text is built.
 
     Each key is decoded once, lowest field first, into both the (code,
     exponent) pairs and the sort key: the exponents re-packed with p's
     variables in code order, the first most significant, below the negated
     degree."""
-    if p._den.bit_length() > _DIGIT_BITS and p._den >= 10**DIGIT_LIMIT:
-        raise DigitOverflow()
+    den = p._den
     codes = sorted(p.variables())
     width = FIELD_BITS * len(codes)
     shift = {_SLOTS[v]: width - FIELD_BITS * (i + 1) for i, v in enumerate(codes)}
     rows = []
     for m, c in p._terms.items():
-        if c.bit_length() > _DIGIT_BITS and abs(c) >= 10**DIGIT_LIMIT:
+        d = den
+        if d != 1:
+            g = gcd(c, d)
+            c, d = c // g, d // g
+        if _too_long(c) or _too_long(d):
             raise DigitOverflow()
         pairs = []
         key = degree = slot = 0
@@ -427,26 +436,25 @@ def _sorted_terms(p: Polynomial) -> list:
             m >>= FIELD_BITS
             slot += 1
         pairs.sort()
-        rows.append(((-degree << width) + key, pairs, c))
+        rows.append(((-degree << width) + key, pairs, c, d))
     rows.sort()
     return rows
 
 
 def _coeff_text(num: int, den: int) -> str:
-    """num / den in lowest terms, as str(Fraction) writes it."""
-    return str(num if den == 1 else Fraction(num, den))
+    """num / den, already in lowest terms, as str(Fraction) writes it."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def render_text(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
     parts = []
-    den = p._den
-    for i, (_, m, c) in enumerate(_sorted_terms(p)):
+    for i, (_, m, c, d) in enumerate(_sorted_terms(p)):
         sign = "-" if c < 0 else "+"
         factors = [f"{var_name(v)}^{e}" if e > 1 else var_name(v) for v, e in m]
-        if not factors or abs(c) != den:
-            factors.insert(0, _coeff_text(abs(c), den))
+        if not factors or d != 1 or abs(c) != 1:
+            factors.insert(0, _coeff_text(abs(c), d))
         body = "*".join(factors)
         if i == 0:
             parts.append(body if sign == "+" else "-" + body)
@@ -467,19 +475,19 @@ def render_latex(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
     parts = []
-    for i, (_, m, c) in enumerate(_sorted_terms(p)):
+    for i, (_, m, c, d) in enumerate(_sorted_terms(p)):
         sign = "-" if c < 0 else "+"
-        mag = Fraction(abs(c), p._den)
+        c = abs(c)
         mono = "".join(
             f"{_latex_var(v)}^{{{e}}}" if e > 1 else _latex_var(v) for v, e in m
         )
-        if mag == 1 and mono:
+        if c == d == 1 and mono:
             body = mono
         else:
-            if mag.denominator == 1:
-                coeff = str(mag.numerator)
+            if d == 1:
+                coeff = str(c)
             else:
-                coeff = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+                coeff = f"\\frac{{{c}}}{{{d}}}"
             body = coeff + ("\\," + mono if mono else "")
         if i == 0:
             parts.append(body if sign == "+" else "-" + body)
@@ -491,8 +499,8 @@ def render_latex(p: Polynomial) -> str:
 def to_json_terms(p: Polynomial) -> list:
     """Stable JSON term list: [{"coeff": "p/q", "monomial": {...}}]."""
     return [
-        {"coeff": _coeff_text(c, p._den), "monomial": {var_name(v): e for v, e in m}}
-        for _, m, c in _sorted_terms(p)
+        {"coeff": _coeff_text(c, d), "monomial": {var_name(v): e for v, e in m}}
+        for _, m, c, d in _sorted_terms(p)
     ]
 
 

@@ -234,6 +234,11 @@ def test_cli_digit_limit(capsys):
         " denominator must have at most 4300 digits\n"
     )
     assert captured.out == ""
+    # The common denominator 2^8192 * 3^5096 has 4898 digits; each printed
+    # coefficient in lowest terms has fewer than 2500.
+    expr = "(1/2)^4096*(1/2)^4096*x1 + (1/3)^4096*(1/3)^1000*x2"
+    assert run(["derivation", "apply", "--kind", "w", expr]) == 0
+    assert capsys.readouterr().out == f"2/{3**5096}*x1 + 1/{2**8192}*x0\n"
 
 
 def test_cli_intertwine_apply(capsys):

@@ -254,6 +254,21 @@ def test_render_digit_limit():
                 render(p)
 
 
+def test_render_digit_limit_reads_lowest_terms():
+    # The limit is on each printed coefficient in lowest terms, not on the
+    # common denominator: 2^8192 * 3^5096 has 4898 digits, 1/2^8192 and
+    # 1/3^5096 fewer than 2500 each.
+    p = x0 / 2**8192 + x1 / 3**5096
+    assert p._den >= 10**DIGIT_LIMIT
+    assert render_text(p) == f"1/{3**5096}*x1 + 1/{2**8192}*x0"
+    assert render_latex(p) == (
+        f"\\frac{{1}}{{{3**5096}}}\\,x_{{1}} + \\frac{{1}}{{{2**8192}}}\\,x_{{0}}"
+    )
+    assert [t["coeff"] for t in to_json_terms(p)] == [f"1/{3**5096}", f"1/{2**8192}"]
+    with pytest.raises(DigitOverflow):
+        render_text(p + x2 / 10**DIGIT_LIMIT)
+
+
 def test_render_latex_golden():
     from kravchuk_identities.poly import render_latex
 
