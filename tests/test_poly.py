@@ -252,9 +252,6 @@ def test_render_digit_limit():
         for render in (render_text, render_latex, to_json_terms):
             with pytest.raises(DigitOverflow, match=f"at most {DIGIT_LIMIT} digits"):
                 render(p)
-
-
-def test_render_digit_limit_reads_lowest_terms():
     # The limit is on each printed coefficient in lowest terms, not on the
     # common denominator: 2^8192 * 3^5096 has 4898 digits, 1/2^8192 and
     # 1/3^5096 fewer than 2500 each.
