@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from . import derivations, identities, intertwine, kravchuk
+from . import derivations, identities, intertwine, kravchuk, poly
 from .poly import A, X, Polynomial, render_latex, render_text, to_json_terms, xvar
 
 MAX_EXPONENT = 4096
@@ -67,6 +67,12 @@ class _Parser:
         line = self.text.count("\n", 0, offset) + 1
         return ParseError(message, line, offset - line_start + 1)
 
+    def _int(self, digits: str, offset: int) -> int:
+        """int(digits); past poly.DIGIT_LIMIT digits int() itself would refuse."""
+        if len(digits) > poly.DIGIT_LIMIT:
+            raise self._error(f"number longer than {poly.DIGIT_LIMIT} digits", offset)
+        return int(digits)
+
     def peek(self):
         return self.tokens[self.index]
 
@@ -107,7 +113,7 @@ class _Parser:
             kind, value, offset = self.next()
             if kind != "num":
                 raise self._error("exponent must be a non-negative integer literal", offset)
-            e = int(value)
+            e = self._int(value, offset)
             if e > MAX_EXPONENT:
                 raise self._error(f"exponent {e} exceeds limit {MAX_EXPONENT}", offset)
             p = p**e
@@ -116,23 +122,25 @@ class _Parser:
     def _base(self) -> Polynomial:
         kind, value, offset = self.next()
         if kind == "num":
-            numerator = int(value)
+            numerator = self._int(value, offset)
             if self.peek()[0] == "/":
                 self.next()
                 dkind, dvalue, doffset = self.next()
                 if dkind != "num":
                     raise self._error("expected denominator digits", doffset)
-                if int(dvalue) == 0:
+                denominator = self._int(dvalue, doffset)
+                if not denominator:
                     raise self._error("zero denominator", doffset)
-                return Polynomial.constant(Fraction(numerator, int(dvalue)))
+                return Polynomial.constant(Fraction(numerator, denominator))
             return Polynomial.constant(numerator)
         if kind == "var":
             if value == "x":
                 return Polynomial.var(X)
             if value == "a":
                 return Polynomial.var(A)
+            index = self._int(value[1:], offset)
             try:
-                return Polynomial.var(xvar(int(value[1:])))
+                return Polynomial.var(xvar(index))
             except ValueError as exc:
                 raise self._error(str(exc), offset) from None
         if kind not in ("(", "-"):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import factorial, gcd, lcm
 
 from . import arith
@@ -56,15 +57,18 @@ def apply(D, p: Polynomial) -> Polynomial:
     return Polynomial.sum(p.diff(v) * D(v) for v in generators(p))
 
 
+def _iterates(D, p: Polynomial):
+    """p, D(p), D^2(p), ... up to the last nonzero one."""
+    while not p.is_zero:
+        yield p
+        p = apply(D, p)
+
+
 def power_apply(D, p: Polynomial, k: int) -> Polynomial:
     """k-fold application of D; D^0 is the identity."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    for _ in range(k):
-        if p.is_zero:
-            break
-        p = apply(D, p)
-    return p
+    return next(islice(_iterates(D, p), k, None), Polynomial.zero())
 
 
 def is_in_kernel(D, p: Polynomial) -> bool:
@@ -130,11 +134,7 @@ def dixmier_sigma(D, i: int) -> Sigma:
     c = dx1.coeff(((xvar(0), 1),))
     if not c or dx1 != x0 * c or not D(0).is_zero:
         raise ValueError(f"sigma needs D(x0) = 0 and D(x1) = c*x0, c != 0 ({D.__name__})")
-    iterates = []
-    dk = Polynomial.var(xvar(i))
-    while not dk.is_zero:
-        iterates.append(dk)
-        dk = apply(D, dk)
+    iterates = list(_iterates(D, Polynomial.var(xvar(i))))
     # Every term over the common denominator x0^top; the x0 factors that the
     # whole numerator shares with it cancel once, at the end.
     top = len(iterates) - 1

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache, reduce
+from math import factorial, prod
+from operator import mul
 from types import SimpleNamespace
 
 from . import arith
@@ -109,14 +111,9 @@ def _report(
     )
 
 
-def classify(
-    p: Polynomial,
-    expected: Polynomial = None,
-    check_id: str = "classify",
-    n: int = None,
-) -> IdentityReport:
+def classify(p: Polynomial, expected: Polynomial = None) -> IdentityReport:
     start = time.perf_counter()
-    return _report(check_id, n, phi_k(p), expected, start)
+    return _report("classify", None, phi_k(p), expected, start)
 
 
 # -- conjectures 1 and 2 ------------------------------------------------
@@ -124,38 +121,33 @@ def classify(
 # and phi_K(x_0) = 1: phi_K(sigma(x_n)) is the Taylor series of K_n on a slice.
 
 
+def _slice(check_id: str, n: int, x, a, even_rhs) -> IdentityReport:
+    """K_n on the slice (x, a) versus even_rhs(m) for n = 2m and 0 for odd n."""
+    if n < 2:
+        raise ValueError(f"{check_id}: n must be >= 2, got {n}")
+    start = time.perf_counter()
+    lhs = kravchuk(n).substitute({X: x, A: a})
+    rhs = Polynomial.zero() if n % 2 else even_rhs(n // 2)
+    return _report(check_id, n, lhs, rhs, start)
+
+
 def conjecture1(n: int) -> IdentityReport:
     """phi_K(sigma(x_n)) = K_n(a/2, a) for D_K1 versus the conjectured product;
     by (1-z^2)^(a/2) it is (-1)^m C(a/2, m) for n = 2m: ratio exactly 1/n!."""
-    if n < 2:
-        raise ValueError(f"conjecture1: n must be >= 2, got {n}")
-    start = time.perf_counter()
     a = Polynomial.var(A)
-    lhs = kravchuk(n).substitute({X: a / 2, A: a})
-    if n % 2 == 1:
-        rhs = Polynomial.zero()
-    else:
-        m = n // 2
-        rhs = Polynomial.constant((-1) ** m * arith.double_factorial(2 * m - 1))
-        for j in range(m):
-            rhs = rhs * (a - 2 * j)
-    return _report("conjecture1", n, lhs, rhs, start)
+
+    def rhs(m):
+        c = Polynomial.constant((-1) ** m * arith.double_factorial(2 * m - 1))
+        return reduce(mul, (a - 2 * j for j in range(m)), c)
+
+    return _slice("conjecture1", n, a / 2, a, rhs)
 
 
 def conjecture2(n: int) -> IdentityReport:
     """phi_K(sigma(x_n)) = K_n(x, 2x) for D_K2 versus 0 (odd n) or
     (-1)^m C(x,m), n = 2m; the generating function (1-z^2)^x proves it."""
-    if n < 2:
-        raise ValueError(f"conjecture2: n must be >= 2, got {n}")
-    start = time.perf_counter()
     x = Polynomial.var(X)
-    lhs = kravchuk(n).substitute({X: x, A: 2 * x})
-    if n % 2 == 1:
-        rhs = Polynomial.zero()
-    else:
-        m = n // 2
-        rhs = binom_poly(x, m) * (-1) ** m
-    return _report("conjecture2", n, lhs, rhs, start)
+    return _slice("conjecture2", n, x, 2 * x, lambda m: binom_poly(x, m) * (-1) ** m)
 
 
 # -- Weitzenbock kernel elements and conjecture 3 -----------------------
@@ -240,32 +232,25 @@ def discriminant_identity() -> IdentityReport:
     return report
 
 
+def _c3_product(n: int, c: int, v: Polynomial, s: int, top: int) -> Polynomial:
+    """(-1)^(n(n+1)/2) c prod_{i<top} (v + s i)^(top-i)."""
+    factors = ((v + s * i) ** (top - i) for i in range(top))
+    return reduce(mul, factors, Polynomial.constant((-1) ** (n * (n + 1) // 2) * c))
+
+
 def _c3_rhs_part1(n: int, shifted: bool = False) -> Polynomial:
     """Part (i) right side; shifted=True extends every product by one
     index (the reading under which the computed sides actually agree)."""
-    a = Polynomial.var(A)
-    coeff = (-1) ** (n * (n + 1) // 2)
-    for i in range(n + 1 if shifted else n):
-        coeff *= factorial(i)
-    rhs = Polynomial.constant(coeff)
     top = n if shifted else n - 1
-    for i in range(top):
-        rhs = rhs * (a + i) ** (top - i)
-    return rhs
+    c = prod(map(factorial, range(top + 1)))
+    return _c3_product(n, c, Polynomial.var(A), 1, top)
 
 
 def _c3_rhs_part2(n: int, shifted: bool = False) -> Polynomial:
     """Part (ii) right side, reading the 2^i i! product up to i = n;
     shifted=True extends the geometric product by one index."""
-    x = Polynomial.var(X)
-    coeff = (-1) ** (n * (n + 1) // 2)
-    for i in range(n + 1):
-        coeff *= 2**i * factorial(i)
-    rhs = Polynomial.constant(coeff)
-    top = n if shifted else n - 1
-    for i in range(top):
-        rhs = rhs * (x - i) ** (top - i)
-    return rhs
+    c = prod(2**i * factorial(i) for i in range(n + 1))
+    return _c3_product(n, c, Polynomial.var(X), -1, n if shifted else n - 1)
 
 
 class _Chebyshev:
@@ -331,13 +316,7 @@ def _sigma_entry(sigma: dict, alpha: list, beta: list, k: int, l: int) -> Polyno
 
 # psi -> its _Chebyshev table.  Row 0 holds the moments, so clearing the
 # moment cache starts every table afresh.
-_TABLES: dict = {}
-
-
-def _table(psi) -> _Chebyshev:
-    if psi not in _TABLES:
-        _TABLES[psi] = _Chebyshev(psi)
-    return _TABLES[psi]
+_table = lru_cache(maxsize=None)(_Chebyshev)
 
 
 def moment(psi, k: int) -> Polynomial:
@@ -349,7 +328,7 @@ def moment(psi, k: int) -> Polynomial:
     return sigma[0, k]
 
 
-moment.cache_clear = _TABLES.clear
+moment.cache_clear = _table.cache_clear
 
 
 def conjecture3(n: int) -> tuple:

@@ -446,54 +446,41 @@ def _coeff_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def render_text(p: Polynomial) -> str:
+def _render(p: Polynomial, factor, times, frac, glue) -> str:
+    """The terms of p in canonical order, joined by " + " and " - ":
+    factor(code, exponent) writes one variable power and times joins them;
+    a coefficient's absolute value is an integer or frac.format(num, den),
+    glue sets it before the monomial, and a 1 before a monomial is left out."""
     if p.is_zero:
         return "0"
     parts = []
-    for i, (_, m, c, d) in enumerate(_sorted_terms(p)):
-        sign = "-" if c < 0 else "+"
-        factors = [f"{var_name(v)}^{e}" if e > 1 else var_name(v) for v, e in m]
-        if not factors or d != 1 or abs(c) != 1:
-            factors.insert(0, _coeff_text(abs(c), d))
-        body = "*".join(factors)
-        if i == 0:
-            parts.append(body if sign == "+" else "-" + body)
+    for _, m, c, d in _sorted_terms(p):
+        mono = times.join([factor(v, e) for v, e in m])
+        if mono and d == 1 and abs(c) == 1:
+            body = mono
         else:
-            parts.append(f" {sign} {body}")
-    return "".join(parts)
+            coeff = str(abs(c)) if d == 1 else frac.format(abs(c), d)
+            body = coeff + (glue + mono if mono else "")
+        parts.append(f" - {body}" if c < 0 else f" + {body}")
+    text = "".join(parts)
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]
 
 
-def _latex_var(code: int) -> str:
-    if code == X:
-        return "x"
-    if code == A:
-        return "a"
-    return f"x_{{{code}}}"
+def _text_factor(code: int, e: int) -> str:
+    return f"{var_name(code)}^{e}" if e > 1 else var_name(code)
+
+
+def _latex_factor(code: int, e: int) -> str:
+    name = "x" if code == X else "a" if code == A else f"x_{{{code}}}"
+    return f"{name}^{{{e}}}" if e > 1 else name
+
+
+def render_text(p: Polynomial) -> str:
+    return _render(p, _text_factor, "*", "{}/{}", "*")
 
 
 def render_latex(p: Polynomial) -> str:
-    if p.is_zero:
-        return "0"
-    parts = []
-    for i, (_, m, c, d) in enumerate(_sorted_terms(p)):
-        sign = "-" if c < 0 else "+"
-        c = abs(c)
-        mono = "".join(
-            f"{_latex_var(v)}^{{{e}}}" if e > 1 else _latex_var(v) for v, e in m
-        )
-        if c == d == 1 and mono:
-            body = mono
-        else:
-            if d == 1:
-                coeff = str(c)
-            else:
-                coeff = f"\\frac{{{c}}}{{{d}}}"
-            body = coeff + ("\\," + mono if mono else "")
-        if i == 0:
-            parts.append(body if sign == "+" else "-" + body)
-        else:
-            parts.append(f" {sign} {body}")
-    return "".join(parts)
+    return _render(p, _latex_factor, "", "\\frac{{{}}}{{{}}}", "\\,")
 
 
 def to_json_terms(p: Polynomial) -> list:

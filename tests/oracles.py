@@ -13,6 +13,7 @@ from kravchuk_identities.derivations import (
     dixmier_sigma,
     dk1_power_coeff,
     kravchuk1,
+    kravchuk2,
     power_apply,
 )
 from kravchuk_identities.identities import hankel
@@ -186,6 +187,30 @@ def phi_sigma(D, n: int) -> Polynomial:
     """phi_K(sigma(x_n)) for D from the Dixmier map itself; phi_K(x0) = K_0 =
     1, so sigma's x0 denominator drops out."""
     return phi_k(dixmier_sigma(D, n).numerator)
+
+
+def sigma_from_kravchuk_slice(D, n: int) -> Polynomial:
+    """x0^n sigma(x_n) for D = kravchuk1 or kravchuk2 from the Kravchuk
+    generating function sum_i K_i(x, a) z^i = (1-z)^x (1+z)^(a-x).
+
+    D(x_n) = sum_j [z^j] f(z) x_{n-j} with f = (1/2) ln((1+z)/(1-z)) for
+    D_K1 and f = ln(1+z) for D_K2, so with lambda = -x1/x0
+    sigma(x_n) = sum_i x_{n-i} [z^i] exp(lambda f(z)) = sum_i x_{n-i}
+    K_i(slice)(lambda): exp(lambda f) is ((1+z)/(1-z))^(lambda/2), the slice
+    (x, a) = (-lambda/2, 0), for D_K1 and (1+z)^lambda, the slice (0, lambda),
+    for D_K2.  x0^i K_i(slice)(-x1/x0) is a form of degree i in x0, x1."""
+    lam = Polynomial.var(A)  # lambda, before -x1/x0 is put in
+    slice_ = {kravchuk1: {X: -lam / 2, A: 0}, kravchuk2: {X: 0, A: lam}}[D]
+    x0, x1 = Polynomial.var(xvar(0)), Polynomial.var(xvar(1))
+    total = Polynomial.zero()
+    for i in range(n + 1):
+        k_i = kravchuk(i).substitute(slice_)
+        form = Polynomial.sum(
+            c * (-x1) ** k * x0 ** (i - k)
+            for k, c in ((dict(m).get(A, 0), c) for m, c in k_i.terms())
+        )
+        total = total + Polynomial.var(xvar(n - i)) * x0 ** (n - i) * form
+    return total
 
 
 def _k_double_sum(n: int, coeff) -> Polynomial:

@@ -33,12 +33,31 @@ def test_parse_basic():
     assert parse_expr("7") == Polynomial.constant(7)
 
 
+# Number literals and generator indices one digit past the 4300-digit limit
+# of int(), with the column of the offending literal.
+_LONG = "1" + "0" * 4300
+_LONG_LITERALS = {
+    f"{_LONG}*x1": 1,
+    f"x1^{_LONG}": 4,
+    f"1/{_LONG}*x1": 3,
+    f"x{_LONG}": 1,
+}
+
+
 def test_parse_errors():
     for bad in (
         "x1^-2", "2x1", "x1 +", "(x1", "x1^x0", "1/0", "x1^(2)", "y", "2\u00b2*x1", "x\u0661"
     ):
         with pytest.raises(ParseError):
             parse_expr(bad)
+    for bad, col in _LONG_LITERALS.items():
+        with pytest.raises(ParseError, match="number longer than 4300 digits") as exc:
+            parse_expr(bad)
+        assert (exc.value.line, exc.value.col) == (1, col)
+    # 4300 digits is still a number, as a numerator and as a denominator
+    top = 10**4299
+    assert parse_expr(f"{top}*x1") == top * Polynomial.var(xvar(1))
+    assert parse_expr(f"{2 * top - 1}/{top}") == Polynomial.constant(Fraction(2 * top - 1, top))
 
 
 def test_parse_error_position():
@@ -102,6 +121,14 @@ def test_cli_parse_error_exit_code(capsys):
         assert run(["identity", "verify", expr]) == 2
         err = capsys.readouterr().err
         assert err.startswith("parse error at line 1, column 2: unexpected character"), err
+    # A literal past int()'s 4300-digit limit is a positioned parse error, not
+    # the interpreter's own message.
+    for expr, col in _LONG_LITERALS.items():
+        assert run(["derivation", "apply", "--kind", "w", expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"parse error at line 1, column {col}: number longer")
+        assert "set_int_max_str_digits" not in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from kravchuk_identities.derivations import (
 from kravchuk_identities.poly import A, X, Polynomial, xvar
 
 from conftest import polynomials
-from oracles import apply_leibniz, dk1_scale_by_iteration
+from oracles import apply_leibniz, dk1_scale_by_iteration, sigma_from_kravchuk_slice
 
 x0, x1, x2, x3, x4, x5 = (Polynomial.var(xvar(i)) for i in range(6))
 
@@ -121,6 +121,14 @@ def test_dixmier_sigma_basics():
     assert dixmier_sigma(kravchuk1, 0) == Sigma(x0, 0)
     assert dixmier_sigma(kravchuk1, 1) == Sigma(Polynomial.zero(), 0)
     assert repr(dixmier_sigma(kravchuk1, 0)) == "(x0)"
+
+
+@pytest.mark.parametrize("D", [kravchuk1, kravchuk2], ids=["k1", "k2"])
+def test_dixmier_sigma_matches_kravchuk_slice_oracle(D):
+    # beyond the n <= 6 tables: x0^n sigma(x_n) = sum_i x_{n-i} x0^n K_i(slice)(-x1/x0)
+    for n in range(13):
+        sigma = dixmier_sigma(D, n)
+        assert sigma.numerator * x0 ** (n - sigma.power) == sigma_from_kravchuk_slice(D, n)
 
 
 def test_dixmier_sigma_k2_worked_image():

@@ -88,7 +88,7 @@ def test_classify_cayley_images():
         6: -3 * a * (a - 2) * (a - 4),
     }
     for n, img in expectations.items():
-        rep = classify(cayley_k1(n), expected=img, check_id="cayley", n=n)
+        rep = classify(cayley_k1(n), expected=img)
         assert rep.verdict == VERIFIED
         assert rep.classification == (CONSTANT if n % 2 else ONLY_A)
         assert rep.image == rep.expected
@@ -284,7 +284,7 @@ def test_conjecture3_sweep_computes_each_sigma_once(monkeypatch):
     # sigma_{6,6} needs rows 1..6 up to l = 12 - k, and nothing past them
     expected = {(k, l) for k in range(1, 7) for l in range(k, 13 - k)}
     for psi in (psi_ak1, psi_ak2):
-        table = id(identities._TABLES[psi].sigma)
+        table = id(identities._table(psi).sigma)
         assert {(k, l): c for (t, k, l), c in calls.items() if t == table} == dict.fromkeys(
             expected, 1
         )
@@ -331,7 +331,7 @@ def test_chebyshev_table_on_moments_with_a_factor():
             h = hankel([identities.moment(scaled_psi, k) for k in range(2 * n + 1)])
             assert identities._table(scaled_psi).det(n) == determinant(h)
     finally:
-        identities._TABLES.pop(scaled_psi, None)
+        identities.moment.cache_clear()
 
 
 def _lambda_i(k):
@@ -345,7 +345,7 @@ def _lambda_ii(k):
 def test_conjecture3_recurrence_closed_forms():
     # the J-fraction of the moments: b_k = alpha_k, lambda_k = beta_k
     conjecture3(11)
-    t_i, t_ii = (identities._TABLES[psi] for psi in (psi_ak1, psi_ak2))
+    t_i, t_ii = (identities._table(psi) for psi in (psi_ak1, psi_ak2))
     assert t_i.beta[0] == t_ii.beta[0] == 1
     for k in range(11):
         assert t_i.alpha[k] == a - 2 * x
@@ -382,7 +382,7 @@ def test_conjecture3_inexact_division_raises(monkeypatch):
         with pytest.raises(ValueError, match="not exact"):
             conjecture3(1)
     finally:
-        identities._TABLES.pop(fake_psi, None)
+        identities.moment.cache_clear()
 
 
 def test_conjecture3_sweep_expands_each_moment_once(monkeypatch):
