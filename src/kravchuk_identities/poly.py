@@ -446,41 +446,40 @@ def _coeff_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _render(p: Polynomial, factor, times, frac, glue) -> str:
-    """The terms of p in canonical order, joined by " + " and " - ":
-    factor(code, exponent) writes one variable power and times joins them;
-    a coefficient's absolute value is an integer or frac.format(num, den),
-    glue sets it before the monomial, and a 1 before a monomial is left out."""
+def _render(p: Polynomial, monomial, frac: str, glue: str) -> str:
+    """The terms of p in canonical order, joined by " + " and " - ": monomial(m)
+    writes a monomial, frac.format(num, den) a non-integer coefficient, and glue
+    goes between the two; a coefficient of 1 before a monomial is left out."""
     if p.is_zero:
         return "0"
     parts = []
     for _, m, c, d in _sorted_terms(p):
-        mono = times.join([factor(v, e) for v, e in m])
+        mono = monomial(m)
+        sign = " - " if c < 0 else " + "
         if mono and d == 1 and abs(c) == 1:
-            body = mono
+            parts.append(sign + mono)
         else:
             coeff = str(abs(c)) if d == 1 else frac.format(abs(c), d)
-            body = coeff + (glue + mono if mono else "")
-        parts.append(f" - {body}" if c < 0 else f" + {body}")
+            parts.append(f"{sign}{coeff}{glue}{mono}" if mono else sign + coeff)
     text = "".join(parts)
     return text[3:] if text.startswith(" + ") else "-" + text[3:]
 
 
-def _text_factor(code: int, e: int) -> str:
-    return f"{var_name(code)}^{e}" if e > 1 else var_name(code)
+def _text_monomial(m) -> str:
+    return "*".join([f"{var_name(v)}^{e}" if e > 1 else var_name(v) for v, e in m])
 
 
-def _latex_factor(code: int, e: int) -> str:
-    name = "x" if code == X else "a" if code == A else f"x_{{{code}}}"
-    return f"{name}^{{{e}}}" if e > 1 else name
+def _latex_monomial(m) -> str:
+    names = (("x" if v == X else "a" if v == A else f"x_{{{v}}}", e) for v, e in m)
+    return "".join([f"{name}^{{{e}}}" if e > 1 else name for name, e in names])
 
 
 def render_text(p: Polynomial) -> str:
-    return _render(p, _text_factor, "*", "{}/{}", "*")
+    return _render(p, _text_monomial, "{}/{}", "*")
 
 
 def render_latex(p: Polynomial) -> str:
-    return _render(p, _latex_factor, "", "\\frac{{{}}}{{{}}}", "\\,")
+    return _render(p, _latex_monomial, "\\frac{{{}}}{{{}}}", "\\,")
 
 
 def to_json_terms(p: Polynomial) -> list:
