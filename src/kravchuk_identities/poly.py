@@ -441,9 +441,9 @@ def _sorted_terms(p: Polynomial) -> list:
     return rows
 
 
-def _coeff_text(num: int, den: int) -> str:
-    """num / den, already in lowest terms, as str(Fraction) writes it."""
-    return str(num) if den == 1 else f"{num}/{den}"
+def _coeff_text(num: int, den: int, frac: str = "{}/{}") -> str:
+    """num / den, already in lowest terms, as str(Fraction) writes it by default."""
+    return str(num) if den == 1 else frac.format(num, den)
 
 
 def _render(p: Polynomial, monomial, frac: str, glue: str) -> str:
@@ -459,10 +459,10 @@ def _render(p: Polynomial, monomial, frac: str, glue: str) -> str:
         if mono and d == 1 and abs(c) == 1:
             parts.append(sign + mono)
         else:
-            coeff = str(abs(c)) if d == 1 else frac.format(abs(c), d)
+            coeff = _coeff_text(abs(c), d, frac)
             parts.append(f"{sign}{coeff}{glue}{mono}" if mono else sign + coeff)
-    text = "".join(parts)
-    return text[3:] if text.startswith(" + ") else "-" + text[3:]
+    parts[0] = parts[0][3:] if parts[0][1] == "+" else "-" + parts[0][3:]
+    return "".join(parts)
 
 
 def _text_monomial(m) -> str:
@@ -470,8 +470,8 @@ def _text_monomial(m) -> str:
 
 
 def _latex_monomial(m) -> str:
-    names = (("x" if v == X else "a" if v == A else f"x_{{{v}}}", e) for v, e in m)
-    return "".join([f"{name}^{{{e}}}" if e > 1 else name for name, e in names])
+    return "".join([(f"x_{{{v}}}" if v < X else "x" if v == X else "a")
+                    + (f"^{{{e}}}" if e > 1 else "") for v, e in m])
 
 
 def render_text(p: Polynomial) -> str:
