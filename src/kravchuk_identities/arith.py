@@ -22,33 +22,27 @@ def binomial(n: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _stirling(first: bool, m: int, k: int) -> int:
+    """s(m, k) if first, else S(m, k): [k = m] when k = 0 or k >= m, otherwise
+    T(m-1, k-1) + w T(m-1, k) with w = -(m-1) for s and w = k for S."""
+    if k == 0 or k >= m:
+        return int(k == m)
+    w = 1 - m if first else k
+    return _stirling(first, m - 1, k - 1) + w * _stirling(first, m - 1, k)
+
+
 def stirling_first(m: int, k: int) -> int:
     """Signed Stirling number of the first kind s(m, k)."""
     if m < 0 or k < 0:
         raise ValueError("stirling_first: arguments must be >= 0")
-    if m == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    if k > m:
-        return 0
-    # s(m, k) = s(m-1, k-1) - (m-1) s(m-1, k)
-    return stirling_first(m - 1, k - 1) - (m - 1) * stirling_first(m - 1, k)
+    return _stirling(True, m, k)
 
 
-@lru_cache(maxsize=None)
 def stirling_second(n: int, j: int) -> int:
     """Stirling number of the second kind S(n, j)."""
     if n < 0 or j < 0:
         raise ValueError("stirling_second: arguments must be >= 0")
-    if n == 0:
-        return 1 if j == 0 else 0
-    if j == 0:
-        return 0
-    if j > n:
-        return 0
-    # S(n, j) = j S(n-1, j) + S(n-1, j-1)
-    return j * stirling_second(n - 1, j) + stirling_second(n - 1, j - 1)
+    return _stirling(False, n, j)
 
 
 @lru_cache(maxsize=None)

@@ -143,6 +143,8 @@ class _Parser:
                 return Polynomial.var(xvar(index))
             except ValueError as exc:
                 raise self._error(str(exc), offset) from None
+        if kind == "end":
+            raise self._error("unexpected end of input", offset)
         if kind not in ("(", "-"):
             raise self._error(f"unexpected token {value!r}", offset)
         self.depth += 1

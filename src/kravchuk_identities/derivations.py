@@ -23,32 +23,25 @@ from .poly import Polynomial, exact_div, generators, xvar
 @lru_cache(maxsize=None)
 def weitzenbock(n: int) -> Polynomial:
     """W(x_n) = n x_{n-1}, W(x_0) = 0."""
-    return Polynomial.var(xvar(n - 1)) * n if n else Polynomial.zero()
+    return Polynomial.linear({n - 1: n} if n else {})
 
 
-# D_K1 and D_K2 sum integer multiples of the generators over one
-# denominator, the lcm of the index differences, and divide once: a sum of
-# Fraction multiples would rescale every running numerator each time the lcm
-# grows.
+# D_K1 and D_K2 are integer multiples of the generators over one
+# denominator, the lcm of the index differences.
 @lru_cache(maxsize=None)
 def kravchuk1(n: int) -> Polynomial:
     """D_K1(x_n) = sum_{i=1}^n (1-(-1)^i)/(2i) x_{n-i}  (odd i only)."""
     odd = range(1, n + 1, 2)
     den = lcm(*odd)
-    return Polynomial.sum(Polynomial.var(xvar(n - i)) * (den // i) for i in odd) / den
+    return Polynomial.linear({n - i: den // i for i in odd}, den)
 
 
 @lru_cache(maxsize=None)
 def kravchuk2(n: int) -> Polynomial:
     """D_K2(x_n) = sum_{i=0}^{n-1} (-1)^(n+1+i)/(n-i) x_i."""
     den = lcm(*range(1, n + 1))
-    return (
-        Polynomial.sum(
-            Polynomial.var(xvar(i)) * ((-1) ** (n + 1 + i) * (den // (n - i)))
-            for i in range(n)
-        )
-        / den
-    )
+    coeffs = {i: (-1) ** (n + 1 + i) * (den // (n - i)) for i in range(n)}
+    return Polynomial.linear(coeffs, den)
 
 
 def apply(D, p: Polynomial) -> Polynomial:
@@ -94,23 +87,26 @@ def dk1_power_coeff(k: int, m: int) -> Fraction:
     return arith.s_upper(k, m) / 2**k
 
 
-def dk1_power_closed(n: int, k: int) -> ClosedForm:
-    """D_K1^k(x_n) = 2^-k sum_i x_i S^(k)(n-i)."""
+def _power_closed(n: int, k: int, coeff, base) -> ClosedForm:
+    """The ClosedForm of D^k(x_n) with coefficients coeff(k, n - i) and
+    scale base^k."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    coeffs = tuple(dk1_power_coeff(k, n - i) for i in range(n - k + 1))
-    return ClosedForm(coeffs, Fraction(1, 2**k))
+    return ClosedForm(tuple(coeff(k, n - i) for i in range(n - k + 1)), Fraction(base) ** k)
+
+
+def dk1_power_closed(n: int, k: int) -> ClosedForm:
+    """D_K1^k(x_n) = 2^-k sum_i x_i S^(k)(n-i)."""
+    return _power_closed(n, k, dk1_power_coeff, Fraction(1, 2))
 
 
 def dk2_power_closed(n: int, k: int) -> ClosedForm:
     """D_K2^k(x_n) = sum_i x_i * k!/(n-i)! * s(n-i, k)."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    coeffs = tuple(
-        Fraction(factorial(k), factorial(n - i)) * arith.stirling_first(n - i, k)
-        for i in range(n - k + 1)
-    )
-    return ClosedForm(coeffs, Fraction(1))
+
+    def coeff(k, m):
+        return Fraction(factorial(k), factorial(m)) * arith.stirling_first(m, k)
+
+    return _power_closed(n, k, coeff, 1)
 
 
 class Sigma(namedtuple("Sigma", "numerator power")):
@@ -187,9 +183,6 @@ def cayley_k2(n: int) -> CayleyK2:
         anchor_mono = ((xvar(0), power), (xvar(1), 1))
     else:
         anchor_mono = ((xvar(1), 1),)
-    anchor = primitive.coeff(anchor_mono)
-    if anchor == 0:
-        anchor = next(iter(c for _, c in primitive.terms()))
-    if anchor < 0:
+    if primitive.coeff(anchor_mono) < 0:
         primitive, content = -primitive, -content
     return CayleyK2(primitive, content, power)

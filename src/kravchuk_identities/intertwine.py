@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .poly import Polynomial, generators, xvar
+from .poly import Polynomial, generators
 
 
 # kind -> {n: row n}, holding only the rows that were asked for.
@@ -39,30 +39,30 @@ def _row(kind: str, n: int) -> tuple:
     return row
 
 
+def _coeff(kind: str, n: int, i: int, name: str) -> int:
+    """Entry i of row n, 1 <= i <= n; name is the index in the error."""
+    if not 1 <= i <= n:
+        raise ValueError(f"need 1 <= {name} <= n")
+    return _row(kind, n)[i]
+
+
 def t_coeff(n: int, i: int) -> int:
     """T(n,i), the coefficient of x_i in psi_ak1(x_n)."""
-    if not 1 <= i <= n:
-        raise ValueError("need 1 <= i <= n")
-    return _row("ak1", n)[i]
+    return _coeff("ak1", n, i, "i")
 
 
 def b_coeff(n: int, k: int) -> int:
     """B(n,k) = k! S(n,k), the coefficient of x_k in psi_ak2(x_n)."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    return _row("ak2", n)[k]
+    return _coeff("ak2", n, k, "k")
 
 
 @lru_cache(maxsize=None)
 def build_psi(kind: str, n: int) -> Polynomial:
-    """psi(x_n) for kind "ak1" or "ak2": x_0 for n = 0, otherwise the linear
-    form sum_{i=1}^n row[i] x_i."""
+    """psi(x_n) for kind "ak1" or "ak2": the linear form sum_i row[i] x_i
+    (row 0 is (1,), so psi(x_0) = x_0)."""
     if kind not in ("ak1", "ak2"):
         raise ValueError(f"unknown intertwining map kind: {kind!r}")
-    if n == 0:
-        return Polynomial.var(xvar(0))
-    row = _row(kind, n)
-    return Polynomial.sum(Polynomial.var(xvar(i)) * row[i] for i in range(1, n + 1))
+    return Polynomial.linear(dict(enumerate(_row(kind, n))))
 
 
 def psi_ak1(n: int) -> Polynomial:

@@ -32,15 +32,18 @@ def phi_k(p: Polynomial) -> Polynomial:
     return p.substitute({v: kravchuk(v) for v in generators(p)})
 
 
-def dKdx_expansion(n: int) -> Polynomial:
-    """d/dx K_n = -2 phi_K(D_K1(x_n)), a combination of K_0..K_{n-1}."""
+def _expansion(name: str, n: int, D, scale: int) -> Polynomial:
+    """scale * phi_K(D(x_n)), a combination of K_0..K_{n-1}."""
     if n < 1:
-        raise ValueError(f"dKdx_expansion: n must be >= 1, got {n}")
-    return phi_k(derivations.kravchuk1(n)) * -2
+        raise ValueError(f"{name}: n must be >= 1, got {n}")
+    return phi_k(D(n)) * scale
+
+
+def dKdx_expansion(n: int) -> Polynomial:
+    """d/dx K_n = -2 phi_K(D_K1(x_n))."""
+    return _expansion("dKdx_expansion", n, derivations.kravchuk1, -2)
 
 
 def dKda_expansion(n: int) -> Polynomial:
-    """d/da K_n = phi_K(D_K2(x_n)), a combination of K_0..K_{n-1}."""
-    if n < 1:
-        raise ValueError(f"dKda_expansion: n must be >= 1, got {n}")
-    return phi_k(derivations.kravchuk2(n))
+    """d/da K_n = phi_K(D_K2(x_n))."""
+    return _expansion("dKda_expansion", n, derivations.kravchuk2, 1)

@@ -199,6 +199,14 @@ class Polynomial:
     def var(cls, code: int) -> "Polynomial":
         return cls._make({1 << (_slot(code) * FIELD_BITS): 1})
 
+    @classmethod
+    def linear(cls, coeffs: dict, den: int = 1) -> "Polynomial":
+        """The linear form sum_i coeffs[i] x_i / den, from {generator index:
+        int numerator} over den > 0; zero coefficients are skipped."""
+        return cls._make(
+            {1 << (_slot(xvar(i)) * FIELD_BITS): c for i, c in coeffs.items() if c}, den
+        )
+
     @staticmethod
     def sum(parts) -> "Polynomial":
         """The sum of polynomials and int/Fraction constants, accumulated
@@ -312,9 +320,7 @@ class Polynomial:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            inverse = 1 / Fraction(other)
-            terms = {m: c * inverse.numerator for m, c in self._terms.items()}
-            return Polynomial._make(terms, self._den * inverse.denominator)
+            return self * (1 / Fraction(other))
         return NotImplemented
 
     def __pow__(self, n: int):

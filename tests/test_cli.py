@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -67,6 +68,9 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as exc:
         parse_expr("x1 +\n\t x2 $")
     assert (exc.value.line, exc.value.col) == (2, 6)
+    with pytest.raises(ParseError, match="unexpected end of input") as exc:
+        parse_expr("x1 +")
+    assert (exc.value.line, exc.value.col) == (1, 5)
 
 
 def test_render_roundtrip_random():
@@ -505,13 +509,35 @@ DIFFERENCES = {
 }
 
 
-def _benchmark_jobs():
-    """Every argv of the benchmark's recorded job pools."""
+def _workloads():
+    """The benchmark's job definitions, perfbench/workloads.py."""
     path = TESTS.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _benchmark_jobs():
+    """Every argv of the benchmark's recorded job pools."""
+    module = _workloads()
     return [argv for w in module.WORKLOADS for argv in module.pool_jobs(w)]
+
+
+def test_benchmark_jobs_match_recorded_outputs():
+    """Every benchmark pool job, run in-process, gives the exit code and the
+    stdout SHA-256 that perfbench/expected.json recorded for it."""
+    job_key = _workloads().job_key
+    expected = json.loads((TESTS.parent / "perfbench" / "expected.json").read_text())
+    jobs = _benchmark_jobs()
+    assert len(jobs) == len(expected)
+    for argv in jobs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+        record = expected[job_key(argv)]
+        assert code == record["exit"], argv[:4]
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == record["sha256"], argv[:4]
 
 
 def _oracle_outcome(argv):

@@ -28,6 +28,8 @@ x0, x1, x2, x3, x4, x5 = (Polynomial.var(xvar(i)) for i in range(6))
 
 def test_generator_image_tables():
     assert weitzenbock(0) == Polynomial.zero()
+    assert kravchuk1(0) == Polynomial.zero()
+    assert kravchuk2(0) == Polynomial.zero()
     assert kravchuk1(3) == x0 / 3 + x2
     assert kravchuk1(5) == x0 / 5 + x2 / 3 + x4
     assert kravchuk2(2) == -x0 / 2 + x1
@@ -189,7 +191,11 @@ def test_cayley_k2_table():
 def test_cayley_elements_in_kernel():
     for n in range(2, 13):
         assert is_in_kernel(kravchuk1, cayley_k1(n))
-        assert is_in_kernel(kravchuk2, cayley_k2(n).polynomial)
+        c = cayley_k2(n)
+        assert is_in_kernel(kravchuk2, c.polynomial)
+        # The sign convention's anchor x_1 x_0^power has a positive coefficient.
+        anchor = (((xvar(0), c.power),) if c.power else ()) + ((xvar(1), 1),)
+        assert c.polynomial.coeff(anchor) > 0
 
 
 def test_kernel_membership_examples():

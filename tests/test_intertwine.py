@@ -111,6 +111,7 @@ def test_genfun_oracles():
 
 
 def test_psi_ak1_table():
+    assert psi_ak1(0) == x0
     assert psi_ak1(1) == x1
     assert psi_ak1(2) == 2 * x2
     assert psi_ak1(3) == -2 * x1 + 6 * x3
@@ -120,6 +121,7 @@ def test_psi_ak1_table():
 
 
 def test_psi_ak2_table():
+    assert psi_ak2(0) == x0
     assert psi_ak2(1) == x1
     assert psi_ak2(2) == x1 + 2 * x2
     assert psi_ak2(3) == x1 + 6 * x2 + 6 * x3
