@@ -9,8 +9,10 @@ Grammar:
     rational := digits ('/' digits)?
     digits   := [0-9]+
 
-Implicit multiplication is not allowed, and '(' and unary '-' nest at
-most MAX_NESTING deep. Exit codes: 0 all verified, 1 any refuted, 2 usage,
+A rational literal is one base, so 3/4^2 is 9/16, and unary '-' is a
+base, so -x1^2 is -(x1^2) and -x1^2^2 is (-x1^2)^2.  Implicit
+multiplication is not allowed, and '(' and unary '-' nest at most
+MAX_NESTING deep. Exit codes: 0 all verified, 1 any refuted, 2 usage,
 parse or output error.
 """
 
@@ -20,7 +22,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import derivations, identities, intertwine, kravchuk, poly
@@ -30,6 +31,7 @@ MAX_EXPONENT = 4096
 # '(' and unary '-' open at once; each level costs the recursive-descent
 # parser a few stack frames, so an unbounded depth would end in RecursionError.
 MAX_NESTING = 100
+_NAMED = {"x": X, "a": A}
 
 
 class ParseError(ValueError):
@@ -39,11 +41,10 @@ class ParseError(ValueError):
         self.col = col
 
 
-# One token per match; digits are ASCII only, so every "num" token is an int
-# literal, and any other character falls through to "bad".
-_TOKEN = re.compile(
-    r"(?P<space>\s+)|(?P<num>[0-9]+)|(?P<var>x[0-9]*|a)|(?P<op>[-+*^/()])|(?P<bad>.)"
-)
+# One token per match, after the whitespace before it; digits are ASCII
+# only, so every "num" token is an int literal, and any other non-space
+# character falls through to "bad".
+_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<var>x[0-9]*|a)|(?P<op>[-+*^/()])|(?P<bad>\S))")
 
 
 class _Parser:
@@ -52,11 +53,10 @@ class _Parser:
         self.tokens = []
         for m in _TOKEN.finditer(text):
             kind = m.lastgroup
-            if kind == "space":
-                continue
+            value = m[kind]
             if kind == "bad":
-                raise self._error(f"unexpected character {m[0]!r}", m.start())
-            self.tokens.append((m[0] if kind == "op" else kind, m[0], m.start()))
+                raise self._error(f"unexpected character {value!r}", m.start(kind))
+            self.tokens.append((value if kind == "op" else kind, value, m.start(kind)))
         self.tokens.append(("end", "", len(text)))
         self.index = 0
         self.depth = 0
@@ -100,49 +100,87 @@ class _Parser:
             yield q if op == "+" else -q
 
     def _term(self) -> Polynomial:
-        p = self._factor()
-        while self.peek()[0] == "*":
+        """The literal and variable factors of a term are read into one
+        numerator, denominator and packed key; only the '(' and unary '-'
+        factors multiply Polynomials, into rest.  After each factor the
+        exponent guard is tested as Polynomial.__mul__ tests the product so
+        far, so a term that reaches EXPONENT_LIMIT raises at the same factor."""
+        num = den = 1
+        key = 0
+        rest = None
+        while True:
+            atom = self._atom()
+            if atom is None:
+                f = self._factor()
+                # A zero product stays zero, so it multiplies and overflows no more.
+                rest = f if rest is None or not num else rest * f
+            else:
+                n, d, k = atom
+                e = self._exponent()
+                num, den, key = num * n**e, den * d**e, key + k * e
+            guard = poly._GUARD  # read after _atom registers a new slot
+            if num and (
+                key & guard if rest is None else any((key + m) & guard for m in rest._terms)
+            ):
+                raise poly.ExponentOverflow()
+            if self.peek()[0] != "*":
+                break
             self.next()
-            p = p * self._factor()
-        return p
+        p = Polynomial._make({key: num} if num else {}, den)
+        return p if rest is None else p * rest
+
+    def _exponent(self) -> int:
+        """The exponent after '^' at the next token, or 1 if none follows."""
+        if self.peek()[0] != "^":
+            return 1
+        self.next()
+        kind, value, offset = self.next()
+        if kind != "num":
+            raise self._error("exponent must be a non-negative integer literal", offset)
+        e = self._int(value, offset)
+        if e > MAX_EXPONENT:
+            raise self._error(f"exponent {e} exceeds limit {MAX_EXPONENT}", offset)
+        return e
 
     def _factor(self) -> Polynomial:
-        p = self._base()
-        if self.peek()[0] == "^":
-            self.next()
-            kind, value, offset = self.next()
-            if kind != "num":
-                raise self._error("exponent must be a non-negative integer literal", offset)
-            e = self._int(value, offset)
-            if e > MAX_EXPONENT:
-                raise self._error(f"exponent {e} exceeds limit {MAX_EXPONENT}", offset)
-            p = p**e
-        return p
+        return self._base() ** self._exponent()
 
-    def _base(self) -> Polynomial:
-        kind, value, offset = self.next()
+    def _atom(self):
+        """(numerator, denominator, packed key) of the literal or variable at
+        the next token, which is consumed; None, with nothing consumed, for
+        any other token.  A literal p/q is one atom, so 3/4^2 is 9/16."""
+        kind, value, offset = self.peek()
         if kind == "num":
+            self.index += 1
             numerator = self._int(value, offset)
-            if self.peek()[0] == "/":
-                self.next()
-                dkind, dvalue, doffset = self.next()
-                if dkind != "num":
-                    raise self._error("expected denominator digits", doffset)
-                denominator = self._int(dvalue, doffset)
-                if not denominator:
-                    raise self._error("zero denominator", doffset)
-                return Polynomial.constant(Fraction(numerator, denominator))
-            return Polynomial.constant(numerator)
-        if kind == "var":
-            if value == "x":
-                return Polynomial.var(X)
-            if value == "a":
-                return Polynomial.var(A)
+            if self.peek()[0] != "/":
+                return numerator, 1, 0
+            self.next()
+            dkind, dvalue, doffset = self.next()
+            if dkind != "num":
+                raise self._error("expected denominator digits", doffset)
+            denominator = self._int(dvalue, doffset)
+            if not denominator:
+                raise self._error("zero denominator", doffset)
+            return numerator, denominator, 0
+        if kind != "var":
+            return None
+        self.index += 1
+        code = _NAMED.get(value)
+        if code is None:
             index = self._int(value[1:], offset)
             try:
-                return Polynomial.var(xvar(index))
+                code = xvar(index)
             except ValueError as exc:
                 raise self._error(str(exc), offset) from None
+        return 1, 1, 1 << (poly._slot(code) * poly.FIELD_BITS)
+
+    def _base(self) -> Polynomial:
+        atom = self._atom()
+        if atom is not None:
+            num, den, key = atom
+            return Polynomial._make({key: num} if num else {}, den)
+        kind, value, offset = self.next()
         if kind == "end":
             raise self._error("unexpected end of input", offset)
         if kind not in ("(", "-"):

@@ -324,17 +324,21 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, n: int):
+        """Square and multiply, starting from the lowest set bit of n: no
+        product with one(), and p**1 is p."""
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.one()
+        if not n:
+            return Polynomial.one()
         base = self
-        while n:
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        while n := n >> 1:
+            base = base * base
             if n & 1:
                 result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
         return result
 
     def __eq__(self, other):

@@ -12,11 +12,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import kravchuk_identities
 from kravchuk_identities.cli import ParseError, parse_args, parse_expr, render, run
 from oracles import _make_argparser
-from kravchuk_identities.poly import A, X, Polynomial, render_text, xvar
+from kravchuk_identities.poly import A, X, ExponentOverflow, Polynomial, render_text, xvar
 
 x0, x1, x2 = (Polynomial.var(xvar(i)) for i in range(3))
 a = Polynomial.var(A)
@@ -71,6 +73,161 @@ def test_parse_error_position():
     with pytest.raises(ParseError, match="unexpected end of input") as exc:
         parse_expr("x1 +")
     assert (exc.value.line, exc.value.col) == (1, 5)
+
+
+# Errors inside a term of literal and variable factors: (text, message, column).
+_TERM_ERRORS = [
+    ("2*3/x1", "expected denominator digits", 5),
+    ("2*1/0*x1", "zero denominator", 5),
+    ("x1*x2^x0", "exponent must be a non-negative integer literal", 7),
+    ("x1*x2^4097", "exponent 4097 exceeds limit 4096", 7),
+    ("3*x1000000000", "generator index must be in 0..999999999, got 1000000000", 3),
+    ("x2*x" + "1" * 4301, "number longer than 4300 digits", 4),
+]
+
+
+@pytest.mark.parametrize("text,message,col", _TERM_ERRORS, ids=[t[:12] for t, _, _ in _TERM_ERRORS])
+def test_parse_error_inside_a_term(text, message, col):
+    for prefix, line in (("", 1), ("x0 +\n", 2)):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(prefix + text)
+        assert str(exc.value) == f"parse error at line {line}, column {col}: {message}"
+
+
+def test_parse_precedence():
+    # Unary '-' is a base, so an exponent after its factor's own applies to
+    # the negation; a rational literal is one base.
+    assert parse_expr("-x1^2^2") == x1**4
+    assert parse_expr("-2^2^2") == 16
+    assert parse_expr("--x1^3^2") == -(x1**6)
+    assert parse_expr("3/4^2") == Fraction(9, 16)
+    assert parse_expr("0/5*x1 + x2") == x2
+    assert parse_expr("x^2*a*x*6/4") == Fraction(3, 2) * x**3 * a
+
+
+def test_parse_exponent_guard_inside_a_term():
+    # The guard is tested on the product so far after each factor, as each
+    # Polynomial product would test it: an overflow is raised before a later
+    # parse error, and a zero product never overflows.
+    four = "*".join(["x1^4096"] * 4)
+    for text in (
+        f"(x1^4096)^4*{four}*x2^x0",
+        f"x1^4096*-x1^4096*{four}*x1^4096*x1^4096*(",
+        "2*x1^4096*(x1^4096+1)^7*x2^x0",
+    ):
+        with pytest.raises(ExponentOverflow):
+            parse_expr(text)
+    with pytest.raises(ParseError, match="column 40: exponent must be"):
+        parse_expr("(x1^4096)^4*x1^4096*x1^4096*x1^4096*x2^x0")
+    for text in (
+        f"0*{four}*{four}",
+        "0*(x1^4096)^4*(x1^4096)^4",
+        "(x1^4096)^4*0*(x1^4096)^4",
+        "(x1 - x1)*(x1^4096)^4*(x1^4096)^4",
+    ):
+        assert parse_expr(text).is_zero, text
+
+
+# Random expression trees for the differential test below.  A base is
+# ("rat", p, q, slash), ("var", name), ("paren", expr) or ("neg", factor); a
+# factor is (base, exponent or None), a term a list of 1-6 factors and an
+# expr a list of 1-6 (sign, term), the first sign unused.
+_VARS = [("var", name) for name in ["x", "a"] + [f"x{i}" for i in range(12)]]
+_RATS = [("rat", p, q, slash) for p in range(21) for q in range(1, 6) for slash in (q > 1, True)]
+
+
+@st.composite
+def _trees(draw, depth=2):
+    def base(depth):
+        kind = draw(st.integers(0, 9 if depth else 7))
+        if kind < 8:
+            return draw(st.sampled_from(_RATS if kind < 3 else _VARS))
+        return ("paren", expr(depth - 1)) if kind == 8 else ("neg", factor(depth - 1))
+
+    def factor(depth):
+        return (base(depth), draw(st.sampled_from([None, 0, 1, 2, 3, 4])))
+
+    def expr(depth):
+        return [
+            (draw(st.sampled_from("+-")), [factor(depth) for _ in range(draw(st.integers(1, 6)))])
+            for _ in range(draw(st.integers(1, 6)))
+        ]
+
+    return expr(depth)
+
+
+def _render_factor(factor, force=False):
+    """The text of a factor.  An exponent after "-F" binds inside F unless F
+    has one, so F is written with ^1 (force) when the negation has one."""
+    base, e = factor
+    if e is None and force:
+        e = 1
+    if base[0] == "rat":
+        text = f"{base[1]}/{base[2]}" if base[2] > 1 or base[3] else str(base[1])
+    elif base[0] == "var":
+        text = base[1]
+    elif base[0] == "paren":
+        text = f"({_render_expr(base[1])})"
+    else:
+        text = "-" + _render_factor(base[1], force=e is not None)
+    return text if e is None else f"{text}^{e}"
+
+
+def _render_expr(expr):
+    terms = ["*".join(map(_render_factor, term)) for _, term in expr]
+    return terms[0] + "".join(f" {sign} {t}" for (sign, _), t in zip(expr[1:], terms[1:]))
+
+
+def _value_factor(factor):
+    base, e = factor
+    if base[0] == "rat":
+        v = Polynomial.constant(Fraction(base[1], base[2]))
+    elif base[0] == "var":
+        name = base[1]
+        v = Polynomial.var(X if name == "x" else A if name == "a" else xvar(int(name[1:])))
+    elif base[0] == "paren":
+        v = _value_expr(base[1])
+    else:
+        v = -_value_factor(base[1])
+    return v if e is None else v**e
+
+
+def _value_expr(expr):
+    total = Polynomial.zero()
+    for i, (sign, term) in enumerate(expr):
+        product = Polynomial.one()
+        for factor in term:
+            product = product * _value_factor(factor)
+        total = total - product if i and sign == "-" else total + product
+    return total
+
+
+def _size_factor(factor):
+    """A bound on the number of terms of the factor's value."""
+    base, e = factor
+    n = 1
+    if base[0] == "paren":
+        n = _size_expr(base[1])
+    elif base[0] == "neg":
+        n = _size_factor(base[1])
+    return n if e is None else n**e
+
+
+def _size_expr(expr):
+    total = 0
+    for _, term in expr:
+        product = 1
+        for factor in term:
+            product *= _size_factor(factor)
+        total += product
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees())
+def test_parse_matches_tree_arithmetic(expr):
+    assume(_size_expr(expr) <= 300)
+    assert parse_expr(_render_expr(expr)) == _value_expr(expr)
 
 
 def test_render_roundtrip_random():

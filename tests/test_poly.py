@@ -1,7 +1,9 @@
+import operator
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -82,6 +84,19 @@ def test_mul():
     assert p * Polynomial.one() == p
     assert (x0 + x1) * (x0 - x1) == x0**2 - x1**2
     assert (x1**2) * (2 * x2 * x0) == 2 * x0 * x1**2 * x2
+
+
+def test_pow():
+    p = x1**2 - 2 * x2 * x0 + Fraction(1, 3)
+    assert p**0 == 1 and Polynomial.zero() ** 0 == 1
+    assert p**1 == p
+    product = Polynomial.one()
+    for n in range(13):
+        assert (x0 + x1) ** n == product, n
+        assert p**n == reduce(operator.mul, [p] * n, Polynomial.one()), n
+        product = product * (x0 + x1)
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        p**-1
 
 
 def test_substitute():
