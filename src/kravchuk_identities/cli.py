@@ -103,8 +103,8 @@ class _Parser:
         """The literal and variable factors of a term are read into one
         numerator, denominator and packed key; only the '(' and unary '-'
         factors multiply Polynomials, into rest.  After each factor the
-        exponent guard is tested as Polynomial.__mul__ tests the product so
-        far, so a term that reaches EXPONENT_LIMIT raises at the same factor."""
+        exponent guard is tested on the product so far, so ExponentOverflow
+        comes at the factor where a left-to-right Polynomial product raises it."""
         num = den = 1
         key = 0
         rest = None
