@@ -93,19 +93,17 @@ class _Parser:
         return Polynomial.sum(self._signed_terms())
 
     def _signed_terms(self):
-        yield self._term()
+        yield self._term(1)
         while self.peek()[0] in "+-":
-            op = self.next()[0]
-            q = self._term()
-            yield q if op == "+" else -q
+            yield self._term(1 if self.next()[0] == "+" else -1)
 
-    def _term(self) -> Polynomial:
-        """The literal and variable factors of a term are read into one
-        numerator, denominator and packed key; only the '(' and unary '-'
-        factors multiply Polynomials, into rest.  After each factor the
+    def _term(self, num: int) -> Polynomial:
+        """The term's sign num and its literal and variable factors are read
+        into one numerator, denominator and packed key; only the '(' and unary
+        '-' factors multiply Polynomials, into rest.  After each factor the
         exponent guard is tested on the product so far, so ExponentOverflow
         comes at the factor where a left-to-right Polynomial product raises it."""
-        num = den = 1
+        den = 1
         key = 0
         rest = None
         while True:

@@ -2,29 +2,68 @@
 the derivative expansions."""
 
 from functools import lru_cache
+from math import factorial
 
 from . import derivations
-from .poly import A, X, Polynomial, generators
+from .poly import A, EXPONENT_LIMIT, FIELD_BITS, X, ExponentOverflow, Polynomial, _slot, generators
+
+# The bit offsets of the x and a fields in a packed key.
+_SX = _slot(X) * FIELD_BITS
+_SA = _slot(A) * FIELD_BITS
+
+
+@lru_cache(maxsize=None)
+def _rows(n: int) -> list:
+    """The integer coefficients of P_n = n! K_n: rows[i][j] is that of
+    x^i a^j, for j = 0..n-i.  P_0 = 1, P_1 = a - 2x and
+        P_{m+1} = (a - 2x) P_m - m (a - m + 1) P_{m-1}
+                = a (P_m - m P_{m-1}) - 2x P_m + m (m - 1) P_{m-1}.
+    """
+    if n < 2:
+        return [[1]] if n == 0 else [[0, 1], [-2]]
+    # Fill the cache from the bottom, so that a cold P_n never recurses
+    # more than one call deep.
+    for m in range(2, n - 1):
+        _rows(m)
+    m = n - 1
+    prev, cur, c = _rows(m - 1), _rows(m), m * (m - 1)
+    rows = []
+    for i in range(n + 1):
+        # Coefficient j of row i: r[j-1] - m q[j-1] + c q[j] - 2 s[j].
+        r = cur[i] if i <= m else ()
+        q = prev[i] if i < m else ()
+        s = cur[i - 1] if i else (0,) * (n + 1)
+        rows.append([r1 - m * q1 + c * q0 - 2 * s0
+                     for r1, q1, q0, s0 in zip((0, *r), (0, *q, 0), (*q, 0, 0), s)])
+    return rows
 
 
 @lru_cache(maxsize=None)
 def kravchuk(n: int) -> Polynomial:
-    """K_n(x,a) from the three-term recurrence
-    (m+1) K_{m+1} = (a - 2x) K_m - (a - m + 1) K_{m-1},  K_0 = 1, K_1 = a - 2x.
-    """
+    """K_n(x,a) = P_n / n!, packed once from the integer rows of P_n (see
+    _rows); _make divides out the gcd, so K_n is in canonical form."""
     if n < 0:
         raise ValueError(f"kravchuk: n must be >= 0, got {n}")
-    if n == 0:
-        return Polynomial.one()
-    a = Polynomial.var(A)
-    k1 = a - 2 * Polynomial.var(X)
-    if n == 1:
-        return k1
-    # Fill the cache from the bottom, so that a cold K_n never recurses
-    # more than one call deep.
-    for m in range(2, n - 1):
-        kravchuk(m)
-    return (k1 * kravchuk(n - 1) - (a - (n - 2)) * kravchuk(n - 2)) / n
+    # x^n is a term, and its exponent would carry into the field of a.
+    if n >= EXPONENT_LIMIT:
+        raise ExponentOverflow()
+    return Polynomial._make(
+        {(i << _SX) + (j << _SA): c
+         for i, row in enumerate(_rows(n)) for j, c in enumerate(row) if c},
+        factorial(n),
+    )
+
+
+_clear_kravchuk = kravchuk.cache_clear
+
+
+def _cache_clear():
+    """Clear the cached K_n and the cached rows of every P_n."""
+    _clear_kravchuk()
+    _rows.cache_clear()
+
+
+kravchuk.cache_clear = _cache_clear
 
 
 def phi_k(p: Polynomial) -> Polynomial:

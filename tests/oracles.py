@@ -130,6 +130,17 @@ def substitute_fraction_terms(terms: dict, images: dict) -> dict:
     return sum_fraction_terms(parts)
 
 
+def kravchuk_three_term(n: int) -> list:
+    """[K_0, ..., K_n] from the three-term recurrence on Polynomials,
+    (m+1) K_{m+1} = (a - 2x) K_m - (a - m + 1) K_{m-1},  K_0 = 1, K_1 = a - 2x."""
+    a = Polynomial.var(A)
+    k1 = a - 2 * Polynomial.var(X)
+    ks = [Polynomial.one(), k1]
+    for m in range(1, n):
+        ks.append((k1 * ks[m] - (a - m + 1) * ks[m - 1]) / (m + 1))
+    return ks[: n + 1]
+
+
 def kravchuk_binomial_sum(n: int) -> Polynomial:
     """K_n(x,a) = sum_{i=0}^n (-1)^i C(x,i) C(a-x, n-i), expanded."""
     x = Polynomial.var(X)

@@ -522,6 +522,15 @@ def test_module_entry_point_writes_no_warning():
     assert proc.stderr == ""
 
 
+def test_module_entry_point_poly_past_the_exponent_limit():
+    # K_32768 has an x^32768 term, past its exponent field: exit 2 before any
+    # work, not a build without bound.
+    proc = _run_module(["poly", "32768"], capture_output=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: exponent limit exceeded")
+
+
 @pytest.mark.parametrize("n", ["2", "30"], ids=["at-exit-flush", "during-print"])
 def test_module_entry_point_closed_stdout_exits_2(n):
     # The reader is gone before the child writes: K_2 fails only at the

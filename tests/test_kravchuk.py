@@ -1,11 +1,22 @@
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
+import pytest
+
+from kravchuk_identities import kravchuk as kravchuk_module
 from kravchuk_identities.kravchuk import dKda_expansion, dKdx_expansion, kravchuk
-from kravchuk_identities.poly import A, Polynomial, X, binom_poly, xvar
+from kravchuk_identities.poly import (
+    A,
+    EXPONENT_LIMIT,
+    ExponentOverflow,
+    Polynomial,
+    X,
+    binom_poly,
+    xvar,
+)
 
-from oracles import kravchuk_binomial_sum
+from oracles import kravchuk_binomial_sum, kravchuk_three_term
 
 x = Polynomial.var(X)
 a = Polynomial.var(A)
@@ -54,13 +65,42 @@ def test_leading_coefficient_in_x():
         )
 
 
+def test_rows_match_three_term_recurrence():
+    for n, kn in enumerate(kravchuk_three_term(60)):
+        assert kravchuk(n) == kn, n
+
+
 def test_recurrence_matches_binomial_sum():
     for n in range(17):
         assert kravchuk(n) == kravchuk_binomial_sum(n)
 
 
+def test_canonical_form():
+    # P_n = n! K_n has integer coefficients, so the reduced denominator
+    # divides n!.
+    for n in range(61):
+        kn = kravchuk(n)
+        assert gcd(kn._den, *kn._terms.values()) == 1, n
+        assert factorial(n) % kn._den == 0, n
+
+
+def test_exponent_limit():
+    # x^n is a term of K_n: n = EXPONENT_LIMIT is refused before any row is built.
+    built = kravchuk_module._rows.cache_info()
+    with pytest.raises(ExponentOverflow):
+        kravchuk(EXPONENT_LIMIT)
+    assert kravchuk_module._rows.cache_info() == built
+
+
+def test_cache_clear_clears_the_rows():
+    kravchuk(5)
+    kravchuk.cache_clear()
+    assert kravchuk.cache_info().currsize == 0
+    assert kravchuk_module._rows.cache_info().currsize == 0
+
+
 def test_cold_build_recursion_depth_is_bounded():
-    # A cold K_n must fill its cache from the bottom instead of recursing
+    # A cold K_n must fill its caches from the bottom instead of recursing
     # n calls deep: allow only ~20 frames above the caller's depth.
     depth = 0
     frame = sys._getframe()
@@ -68,10 +108,13 @@ def test_cold_build_recursion_depth_is_bounded():
         depth += 1
         frame = frame.f_back
     limit = sys.getrecursionlimit()
-    kravchuk.cache_clear()
-    sys.setrecursionlimit(depth + 20)
-    try:
-        k = kravchuk(40)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert k.coeff(((X, 40),)) == Fraction(2**40, factorial(40))
+    for n in (40, 200):
+        kravchuk.cache_clear()
+        sys.setrecursionlimit(depth + 20)
+        try:
+            k = kravchuk(n)
+        finally:
+            sys.setrecursionlimit(limit)
+            # K_200 and the rows below it hold about 150 MB.
+            kravchuk.cache_clear()
+        assert k.coeff(((X, n),)) == Fraction(2**n, factorial(n))
