@@ -22,6 +22,7 @@ import json
 import os
 import re
 import sys
+from itertools import islice
 from types import SimpleNamespace
 
 from . import derivations, identities, intertwine, kravchuk, poly
@@ -31,7 +32,6 @@ MAX_EXPONENT = 4096
 # '(' and unary '-' open at once; each level costs the recursive-descent
 # parser a few stack frames, so an unbounded depth would end in RecursionError.
 MAX_NESTING = 100
-_NAMED = {"x": X, "a": A}
 
 
 class ParseError(ValueError):
@@ -41,52 +41,48 @@ class ParseError(ValueError):
         self.col = col
 
 
-# One token per match, after the whitespace before it; digits are ASCII
-# only, so every "num" token is an int literal, and any other non-space
-# character falls through to "bad".
-_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<var>x[0-9]*|a)|(?P<op>[-+*^/()])|(?P<bad>\S))")
+# A token is ASCII digits (always an int literal), a variable or an
+# operator, after the whitespace before it; its first character is its kind.
+_TOKEN = re.compile(r"\s*([0-9]+|x[0-9]*|a|[-+*^/()])")
+_OK = frozenset("0123456789xa+-*^/()")
+# Variable token -> (1, 1, packed key).  Slots are append-only, so a cached
+# key stays valid for the life of the process.
+_VARS = {name: (1, 1, 1 << (poly._slot(code) * poly.FIELD_BITS))
+         for name, code in (("x", X), ("a", A))}
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = []
-        for m in _TOKEN.finditer(text):
-            kind = m.lastgroup
-            value = m[kind]
-            if kind == "bad":
-                raise self._error(f"unexpected character {value!r}", m.start(kind))
-            self.tokens.append((value if kind == "op" else kind, value, m.start(kind)))
-        self.tokens.append(("end", "", len(text)))
+        # A bad character wins over any grammar error; isspace() is what \s is.
+        bad = [c for c in set(text) - _OK if not c.isspace()]
+        if bad:
+            offset = min(map(text.index, bad))
+            raise self._error(f"unexpected character {text[offset]!r}", offset=offset)
+        self.tokens = _TOKEN.findall(text) + [""]
         self.index = 0
         self.depth = 0
 
-    def _error(self, message: str, offset: int) -> ParseError:
-        """A ParseError at the 1-based line and column of offset."""
-        line_start = self.text.rfind("\n", 0, offset) + 1
-        line = self.text.count("\n", 0, offset) + 1
-        return ParseError(message, line, offset - line_start + 1)
+    def _error(self, message: str, index: int = 0, offset: int | None = None) -> ParseError:
+        """A ParseError at the 1-based line and column of offset, by default
+        that of token index, found by scanning again; the end "" is at len(text)."""
+        text = self.text
+        if offset is None:
+            m = next(islice(_TOKEN.finditer(text), index, None), None)
+            offset = m.start(1) if m else len(text)
+        line_start = text.rfind("\n", 0, offset) + 1
+        return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
-    def _int(self, digits: str, offset: int) -> int:
+    def _int(self, digits: str, index: int) -> int:
         """int(digits); past poly.DIGIT_LIMIT digits int() itself would refuse."""
         if len(digits) > poly.DIGIT_LIMIT:
-            raise self._error(f"number longer than {poly.DIGIT_LIMIT} digits", offset)
+            raise self._error(f"number longer than {poly.DIGIT_LIMIT} digits", index)
         return int(digits)
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def next(self):
-        tok = self.tokens[self.index]
-        if tok[0] != "end":
-            self.index += 1
-        return tok
 
     def parse(self) -> Polynomial:
         p = self._expr()
-        kind, value, offset = self.peek()
-        if kind != "end":
-            raise self._error(f"unexpected token {value!r}", offset)
+        if self.tokens[self.index]:
+            raise self._error(f"unexpected token {self.tokens[self.index]!r}", self.index)
         return p
 
     def _expr(self) -> Polynomial:
@@ -94,8 +90,9 @@ class _Parser:
 
     def _signed_terms(self):
         yield self._term(1)
-        while self.peek()[0] in "+-":
-            yield self._term(1 if self.next()[0] == "+" else -1)
+        while (sign := self.tokens[self.index]) in ("+", "-"):
+            self.index += 1
+            yield self._term(1 if sign == "+" else -1)
 
     def _term(self, num: int) -> Polynomial:
         """The term's sign num and its literal and variable factors are read
@@ -103,9 +100,8 @@ class _Parser:
         '-' factors multiply Polynomials, into rest.  After each factor the
         exponent guard is tested on the product so far, so ExponentOverflow
         comes at the factor where a left-to-right Polynomial product raises it."""
-        den = 1
-        key = 0
-        rest = None
+        tokens = self.tokens
+        den, key, rest = 1, 0, None
         while True:
             atom = self._atom()
             if atom is None:
@@ -121,23 +117,23 @@ class _Parser:
                 key & guard if rest is None else any((key + m) & guard for m in rest._terms)
             ):
                 raise poly.ExponentOverflow()
-            if self.peek()[0] != "*":
+            if tokens[self.index] != "*":
                 break
-            self.next()
+            self.index += 1
         p = Polynomial._make({key: num} if num else {}, den)
         return p if rest is None else p * rest
 
     def _exponent(self) -> int:
         """The exponent after '^' at the next token, or 1 if none follows."""
-        if self.peek()[0] != "^":
+        i = self.index + 1
+        if self.tokens[i - 1] != "^":
             return 1
-        self.next()
-        kind, value, offset = self.next()
-        if kind != "num":
-            raise self._error("exponent must be a non-negative integer literal", offset)
-        e = self._int(value, offset)
+        if not self.tokens[i].isdigit():
+            raise self._error("exponent must be a non-negative integer literal", i)
+        e = self._int(self.tokens[i], i)
         if e > MAX_EXPONENT:
-            raise self._error(f"exponent {e} exceeds limit {MAX_EXPONENT}", offset)
+            raise self._error(f"exponent {e} exceeds limit {MAX_EXPONENT}", i)
+        self.index = i + 1
         return e
 
     def _factor(self) -> Polynomial:
@@ -147,50 +143,54 @@ class _Parser:
         """(numerator, denominator, packed key) of the literal or variable at
         the next token, which is consumed; None, with nothing consumed, for
         any other token.  A literal p/q is one atom, so 3/4^2 is 9/16."""
-        kind, value, offset = self.peek()
-        if kind == "num":
-            self.index += 1
-            numerator = self._int(value, offset)
-            if self.peek()[0] != "/":
+        tokens = self.tokens
+        i = self.index
+        token = tokens[i]
+        atom = _VARS.get(token)
+        if atom is None and token.isdigit():
+            numerator = int(token) if len(token) <= poly.DIGIT_LIMIT else self._int(token, i)
+            if tokens[i + 1] != "/":
+                self.index = i + 1
                 return numerator, 1, 0
-            self.next()
-            dkind, dvalue, doffset = self.next()
-            if dkind != "num":
-                raise self._error("expected denominator digits", doffset)
-            denominator = self._int(dvalue, doffset)
+            i += 2
+            if not tokens[i].isdigit():
+                raise self._error("expected denominator digits", i)
+            denominator = self._int(tokens[i], i)
             if not denominator:
-                raise self._error("zero denominator", doffset)
+                raise self._error("zero denominator", i)
+            self.index = i + 1
             return numerator, denominator, 0
-        if kind != "var":
-            return None
-        self.index += 1
-        code = _NAMED.get(value)
-        if code is None:
-            index = self._int(value[1:], offset)
+        if atom is None:
+            if token[:1] != "x":  # "x" and "a" are in _VARS
+                return None
+            index = self._int(token[1:], i)
             try:
                 code = xvar(index)
             except ValueError as exc:
-                raise self._error(str(exc), offset) from None
-        return 1, 1, 1 << (poly._slot(code) * poly.FIELD_BITS)
+                raise self._error(str(exc), i) from None
+            atom = _VARS[token] = (1, 1, 1 << (poly._slot(code) * poly.FIELD_BITS))
+        self.index = i + 1
+        return atom
 
     def _base(self) -> Polynomial:
         atom = self._atom()
         if atom is not None:
             num, den, key = atom
             return Polynomial._make({key: num} if num else {}, den)
-        kind, value, offset = self.next()
-        if kind == "end":
-            raise self._error("unexpected end of input", offset)
-        if kind not in ("(", "-"):
-            raise self._error(f"unexpected token {value!r}", offset)
+        i = self.index
+        token = self.tokens[i]
+        if token not in ("(", "-"):
+            message = f"unexpected token {token!r}" if token else "unexpected end of input"
+            raise self._error(message, i)
+        self.index = i + 1
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise self._error(f"nesting deeper than {MAX_NESTING}", offset)
-        if kind == "(":
+            raise self._error(f"nesting deeper than {MAX_NESTING}", i)
+        if token == "(":
             p = self._expr()
-            ckind, _, coffset = self.next()
-            if ckind != ")":
-                raise self._error("expected ')'", coffset)
+            if self.tokens[self.index] != ")":
+                raise self._error("expected ')'", self.index)
+            self.index += 1
         else:
             p = -self._factor()
         self.depth -= 1

@@ -12,30 +12,38 @@ _SX = _slot(X) * FIELD_BITS
 _SA = _slot(A) * FIELD_BITS
 
 
-@lru_cache(maxsize=None)
+# (m, rows of P_{m-1}, rows of P_m) for the highest m built so far.
+_top = None
+
+
 def _rows(n: int) -> list:
     """The integer coefficients of P_n = n! K_n: rows[i][j] is that of
     x^i a^j, for j = 0..n-i.  P_0 = 1, P_1 = a - 2x and
         P_{m+1} = (a - 2x) P_m - m (a - m + 1) P_{m-1}
                 = a (P_m - m P_{m-1}) - 2x P_m + m (m - 1) P_{m-1}.
+    Only the highest pair of consecutive rows is kept: a request at or above
+    it steps up from there, one below it from P_0 and P_1.
     """
+    global _top
     if n < 2:
         return [[1]] if n == 0 else [[0, 1], [-2]]
-    # Fill the cache from the bottom, so that a cold P_n never recurses
-    # more than one call deep.
-    for m in range(2, n - 1):
-        _rows(m)
-    m = n - 1
-    prev, cur, c = _rows(m - 1), _rows(m), m * (m - 1)
-    rows = []
-    for i in range(n + 1):
-        # Coefficient j of row i: r[j-1] - m q[j-1] + c q[j] - 2 s[j].
-        r = cur[i] if i <= m else ()
-        q = prev[i] if i < m else ()
-        s = cur[i - 1] if i else (0,) * (n + 1)
-        rows.append([r1 - m * q1 + c * q0 - 2 * s0
-                     for r1, q1, q0, s0 in zip((0, *r), (0, *q, 0), (*q, 0, 0), s)])
-    return rows
+    m, prev, cur = _top if _top and n >= _top[0] - 1 else (1, _rows(0), _rows(1))
+    if n < m:
+        return prev
+    while m < n:
+        c = m * (m - 1)
+        rows = []
+        for i in range(m + 2):
+            # Coefficient j of row i: r[j-1] - m q[j-1] + c q[j] - 2 s[j].
+            r = cur[i] if i <= m else ()
+            q = prev[i] if i < m else ()
+            s = cur[i - 1] if i else (0,) * (m + 2)
+            rows.append([r1 - m * q1 + c * q0 - 2 * s0
+                         for r1, q1, q0, s0 in zip((0, *r), (0, *q, 0), (*q, 0, 0), s)])
+        m, prev, cur = m + 1, cur, rows
+    if not _top or m > _top[0]:
+        _top = m, prev, cur
+    return cur
 
 
 @lru_cache(maxsize=None)
@@ -58,9 +66,10 @@ _clear_kravchuk = kravchuk.cache_clear
 
 
 def _cache_clear():
-    """Clear the cached K_n and the cached rows of every P_n."""
+    """Clear the cached K_n and the kept pair of rows."""
+    global _top
     _clear_kravchuk()
-    _rows.cache_clear()
+    _top = None
 
 
 kravchuk.cache_clear = _cache_clear
@@ -68,7 +77,8 @@ kravchuk.cache_clear = _cache_clear
 
 def phi_k(p: Polynomial) -> Polynomial:
     """Substitute x_i -> K_i(x,a) and expand."""
-    return p.substitute({v: kravchuk(v) for v in generators(p)})
+    # In ascending order, so _rows steps up from one K_v to the next.
+    return p.substitute({v: kravchuk(v) for v in sorted(generators(p))})
 
 
 def _expansion(name: str, n: int, D, scale: int) -> Polynomial:

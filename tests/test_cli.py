@@ -75,6 +75,30 @@ def test_parse_error_position():
     assert (exc.value.line, exc.value.col) == (1, 5)
 
 
+# A character that starts no token is reported wherever it stands, even past
+# an earlier grammar error; the end of input is after any trailing space.
+_SCANNER_POSITIONS = [
+    ("x1 + + $", "line 1, column 8: unexpected character '$'"),
+    ("(x1 $", "line 1, column 5: unexpected character '$'"),
+    ("x1^x2 + ?", "line 1, column 9: unexpected character '?'"),
+    ("x1 +   ", "line 1, column 8: unexpected end of input"),
+    ("3/ x1", "line 1, column 4: expected denominator digits"),
+    ("x1 + (\n  x2 ~ x3", "line 2, column 6: unexpected character '~'"),
+]
+
+
+@pytest.mark.parametrize("text,where", _SCANNER_POSITIONS)
+def test_parse_scanner_positions(text, where):
+    with pytest.raises(ParseError) as exc:
+        parse_expr(text)
+    assert str(exc.value) == f"parse error at {where}"
+
+
+def test_parse_unicode_whitespace_separates_tokens():
+    # No-break space and em space are whitespace, as \s has it.
+    assert render_text(parse_expr("x1\u00a0+\u2003x2")) == "x2 + x1"
+
+
 # Errors inside a term of literal and variable factors: (text, message, column).
 _TERM_ERRORS = [
     ("2*3/x1", "expected denominator digits", 5),
@@ -228,6 +252,20 @@ def _size_expr(expr):
 def test_parse_matches_tree_arithmetic(expr):
     assume(_size_expr(expr) <= 300)
     assert parse_expr(_render_expr(expr)) == _value_expr(expr)
+
+
+def test_parse_matches_golden():
+    # 1,200 seeded random expressions, two in five with random character
+    # edits, and the render_text output or exact ParseError text that the
+    # tuple-token parser gave each (recorded by record_parse_golden.py).
+    golden = json.loads((TESTS / "parse_golden.json").read_text(encoding="utf-8"))
+    assert len(golden) == 1200
+    for entry in golden:
+        try:
+            got = {"text": render_text(parse_expr(entry["expr"]))}
+        except ParseError as exc:
+            got = {"error": str(exc)}
+        assert {"expr": entry["expr"], **got} == entry
 
 
 def test_render_roundtrip_random():

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -97,9 +98,36 @@ def test_exponent_limit(monkeypatch):
 
 def test_cache_clear_clears_the_rows():
     kravchuk(5)
+    assert kravchuk_module._top[0] >= 5
     kravchuk.cache_clear()
     assert kravchuk.cache_info().currsize == 0
-    assert kravchuk_module._rows.cache_info().currsize == 0
+    assert kravchuk_module._top is None
+
+
+def test_rows_in_any_order():
+    # Requests below the kept pair of rows start again from P_0 and P_1; in
+    # descending, ascending or mixed order every K_n is the same.
+    expected = kravchuk_three_term(30)
+    for order in (range(30, -1, -1), range(31), (17, 3, 30, 29, 28, 2, 16, 0, 1, 18)):
+        kravchuk.cache_clear()
+        for n in order:
+            assert kravchuk(n) == expected[n], (list(order), n)
+    kravchuk.cache_clear()
+
+
+def test_cold_k200_holds_one_pair_of_rows():
+    # Only the top pair of rows stays after a cold K_200: about 13 MB with
+    # K_200 itself (4.4 MB), where every row below it held 149 MB.
+    kravchuk.cache_clear()
+    tracemalloc.start()
+    try:
+        k = kravchuk(200)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        kravchuk.cache_clear()
+    assert k.coeff(((X, 200),)) == Fraction(2**200, factorial(200))
+    assert held < 20 * 2**20, held
 
 
 def test_cold_build_recursion_depth_is_bounded():
@@ -118,6 +146,5 @@ def test_cold_build_recursion_depth_is_bounded():
             k = kravchuk(n)
         finally:
             sys.setrecursionlimit(limit)
-            # K_200 and the rows below it hold about 150 MB.
             kravchuk.cache_clear()
         assert k.coeff(((X, n),)) == Fraction(2**n, factorial(n))
