@@ -34,6 +34,8 @@ def test_parse_basic():
     assert parse_expr("x") == x
     assert parse_expr("x0") == x0
     assert parse_expr("7") == Polynomial.constant(7)
+    # No-break space and em space are whitespace, as \s has it.
+    assert parse_expr("x1\u00a0+\u2003x2") == x1 + x2
 
 
 # Number literals and generator indices one digit past the 4300-digit limit
@@ -92,11 +94,6 @@ def test_parse_scanner_positions(text, where):
     with pytest.raises(ParseError) as exc:
         parse_expr(text)
     assert str(exc.value) == f"parse error at {where}"
-
-
-def test_parse_unicode_whitespace_separates_tokens():
-    # No-break space and em space are whitespace, as \s has it.
-    assert render_text(parse_expr("x1\u00a0+\u2003x2")) == "x2 + x1"
 
 
 # Errors inside a term of literal and variable factors: (text, message, column).

@@ -116,8 +116,8 @@ def test_rows_in_any_order():
 
 
 def test_cold_k200_holds_one_pair_of_rows():
-    # Only the top pair of rows stays after a cold K_200: about 13 MB with
-    # K_200 itself (4.4 MB), where every row below it held 149 MB.
+    # Only the top pair of rows stays after a cold K_200: 6.4 MB held in all,
+    # K_200 included, where keeping every row below it held 142 MB.
     kravchuk.cache_clear()
     tracemalloc.start()
     try:
