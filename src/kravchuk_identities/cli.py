@@ -94,12 +94,16 @@ class _Parser:
             self.index += 1
             yield self._term(1 if sign == "+" else -1)
 
-    def _term(self, num: int) -> Polynomial:
+    def _term(self, num: int):
         """The term's sign num and its literal and variable factors are read
         into one numerator, denominator and packed key; only the '(' and unary
         '-' factors multiply Polynomials, into rest.  After each factor the
         exponent guard is tested on the product so far, so ExponentOverflow
-        comes at the factor where a left-to-right Polynomial product raises it."""
+        comes at the factor where a left-to-right Polynomial product raises it.
+
+        A term without such factors is the (packed key, numerator,
+        denominator) triple that Polynomial.sum takes; any other is a
+        Polynomial."""
         tokens = self.tokens
         den, key, rest = 1, 0, None
         while True:
@@ -120,8 +124,9 @@ class _Parser:
             if tokens[self.index] != "*":
                 break
             self.index += 1
-        p = Polynomial._make({key: num} if num else {}, den)
-        return p if rest is None else p * rest
+        if rest is None:
+            return key, num, den
+        return Polynomial._make({key: num} if num else {}, den) * rest
 
     def _exponent(self) -> int:
         """The exponent after '^' at the next token, or 1 if none follows."""

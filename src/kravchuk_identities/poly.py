@@ -209,19 +209,29 @@ class Polynomial:
 
     @staticmethod
     def sum(parts) -> "Polynomial":
-        """The sum of polynomials and int/Fraction constants, accumulated
-        into one dict of numerators over the lcm of the denominators seen so
-        far; parts is consumed as a stream."""
+        """The sum of polynomials, int/Fraction constants and single terms
+        given as (packed key, int numerator, positive int denominator)
+        triples, accumulated into one dict of numerators over the lcm of the
+        denominators seen so far; parts is consumed as a stream."""
         result: dict = {}
         den = 1
         for part in parts:
-            part = _coerce(part)
-            terms, d = part._terms, part._den
+            if part.__class__ is tuple:
+                key, c, d = part
+                if not c:
+                    continue
+                terms = None
+            else:
+                part = _coerce(part)
+                terms, d = part._terms, part._den
             if den % d:
                 scale = lcm(den, d) // den
                 for m in result:
                     result[m] *= scale
                 den *= scale
+            if terms is None:
+                result[key] = result.get(key, 0) + (c if den == d else c * (den // d))
+                continue
             if den != d:
                 terms = {m: c * (den // d) for m, c in terms.items()}
             if not result:

@@ -19,7 +19,15 @@ from kravchuk_identities.derivations import (
 from kravchuk_identities.identities import hankel
 from kravchuk_identities.intertwine import apply_psi, psi_ak1, psi_ak2
 from kravchuk_identities.kravchuk import kravchuk, phi_k
-from kravchuk_identities.poly import A, X, Polynomial, binom_poly, exact_div, xvar
+from kravchuk_identities.poly import (
+    A,
+    X,
+    Polynomial,
+    binom_poly,
+    exact_div,
+    generators,
+    xvar,
+)
 
 # -- tuple monomials: sorted (code, exponent) pairs, exponents >= 1 ------
 
@@ -256,6 +264,12 @@ def conjecture2_double_sum(n: int) -> Polynomial:
     return _k_double_sum(
         n, lambda k, m: Fraction((-1) ** k * arith.stirling_first(m, k), factorial(m))
     )
+
+
+def apply_by_products(D, p: Polynomial) -> Polynomial:
+    """D(p) as the sum of the Polynomial products dp/dx_v * D(x_v), one
+    derivative and one product per generator v of p."""
+    return Polynomial.sum(p.diff(v) * D(v) for v in generators(p))
 
 
 def apply_leibniz(D, p: Polynomial) -> Polynomial:

@@ -446,6 +446,19 @@ def test_cli_exponent_limit(capsys):
         assert captured.out == "", expr
 
 
+@pytest.mark.parametrize("kind", ["w", "k1", "k2"])
+def test_cli_apply_exponent_limit(capsys, kind):
+    # D(x1) = x0 for all three, so D(x0^e*x1) = x0^(e+1): the parsed input
+    # fits, and the derivation's product reaches the limit at e = 32767.
+    sevens = "*".join(["x0^4096"] * 7)
+    assert run(["derivation", "apply", "--kind", kind, f"{sevens}*x0^4094*x1"]) == 0
+    assert capsys.readouterr().out == "x0^32767\n"
+    assert run(["derivation", "apply", "--kind", kind, f"{sevens}*x0^4095*x1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: exponent limit exceeded")
+    assert captured.out == ""
+
+
 def test_cli_digit_limit(capsys):
     # (10^2150)^2 - 1 prints its 4300 nines; (10^2150)^2 has 4301 digits
     assert run(["derivation", "apply", "--kind", "w", "((10^2150)^2-1)*x1"]) == 0

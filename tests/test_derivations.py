@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,12 @@ from kravchuk_identities.derivations import (
 from kravchuk_identities.poly import A, X, Polynomial, xvar
 
 from conftest import polynomials
-from oracles import apply_leibniz, dk1_scale_by_iteration, sigma_from_kravchuk_slice
+from oracles import (
+    apply_by_products,
+    apply_leibniz,
+    dk1_scale_by_iteration,
+    sigma_from_kravchuk_slice,
+)
 
 x0, x1, x2, x3, x4, x5 = (Polynomial.var(xvar(i)) for i in range(6))
 
@@ -46,9 +53,42 @@ def test_apply_constant_and_weitzenbock():
 
 
 def test_apply_out_of_range():
-    for p in (Polynomial.var(X), x0 + Polynomial.var(A)):
-        with pytest.raises(ValueError):
-            apply(kravchuk1, p)
+    for D in (weitzenbock, kravchuk1, kravchuk2):
+        for p in (Polynomial.var(X), x0 + Polynomial.var(A), x1 * Polynomial.var(X) ** 2):
+            with pytest.raises(ValueError):
+                apply(D, p)
+
+
+def _random_polynomial(rng, indices):
+    """A sum of up to 12 terms c * product of x_i^e over the given indices,
+    with c = p/q for |p| <= 9, q <= 6; it may be a constant or zero."""
+    terms = {}
+    for _ in range(rng.randint(0, 12)):
+        mono = {xvar(rng.choice(indices)): rng.randint(1, 4) for _ in range(rng.randint(0, 3))}
+        terms[tuple(sorted(mono.items()))] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return Polynomial(terms)
+
+
+def _assert_apply_matches_oracle(D, p):
+    image = apply(D, p)
+    assert image == apply_by_products(D, p), (D.__name__, str(p))
+    assert gcd(image._den, *image._terms.values()) == 1
+    assert all(image._terms.values())
+
+
+def test_apply_matches_product_oracle():
+    index_sets = ([0, 1, 2, 3], [0, 2, 5, 11], [1, 7, 30], [4])  # with gaps
+    rng = random.Random(18)
+    cases = [Polynomial.zero(), Polynomial.constant(Fraction(-7, 3))]
+    cases += [_random_polynomial(rng, rng.choice(index_sets)) for _ in range(150)]
+    for p in cases:
+        for D in (weitzenbock, kravchuk1, kravchuk2):
+            _assert_apply_matches_oracle(D, p)
+    # x999999999 takes one field like any other index.  D_K1 and D_K2 of
+    # x_n have about n/2 and n terms, so it goes through W alone.
+    huge = Polynomial.var(xvar(999999999))
+    for p in cases[:40]:
+        _assert_apply_matches_oracle(weitzenbock, p * huge**2 - huge / 5 + x2)
 
 
 @given(polynomials(max_var=6, max_exp=3))

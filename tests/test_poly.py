@@ -20,6 +20,7 @@ from kravchuk_identities.poly import (
     X,
     binom_poly,
     determinant,
+    _pack,
     exact_div,
     render_latex,
     render_text,
@@ -67,6 +68,57 @@ def test_sum():
     parts = (x0 * i for i in range(4))
     assert Polynomial.sum(parts) == 6 * x0
     assert next(parts, None) is None
+
+
+def _triple_as_polynomial(part):
+    """The Polynomial of a part of Polynomial.sum; a (packed key, numerator,
+    denominator) triple becomes one term."""
+    if isinstance(part, tuple):
+        key, num, den = part
+        return Polynomial._make({key: num} if num else {}, den)
+    return part
+
+
+def test_sum_with_triple_parts():
+    k1, k12 = _pack(((xvar(1), 1),)), _pack(((xvar(1), 1), (xvar(2), 3)))
+    parts = [
+        (k12, 3, 4),
+        x1 / 6,
+        2,
+        (k1, 0, 7),  # a zero numerator adds nothing, whatever its denominator
+        (k12, -1, 4),  # a repeated key
+        (0, 5, 1),  # the unit monomial
+        Fraction(1, 3),
+        (k1, 2, 10),  # a denominator new after other parts, not in lowest terms
+        x1 * x2**3 / -2,
+        (k1, -1, 5),
+    ]
+    total = Polynomial.sum(parts)
+    expected = Polynomial.sum(map(_triple_as_polynomial, parts))
+    assert total == expected and total._den == expected._den
+    assert_canonical(total)
+    assert total == x1 / 6 + Fraction(22, 3)
+    assert Polynomial.sum([(k1, 0, 3)]) == Polynomial.zero()
+    assert Polynomial.sum([(k1, 6, 4), (k1, -3, 2)]) == Polynomial.zero()
+
+
+@given(st.lists(st.one_of(
+    polynomials(max_terms=3),
+    st.integers(-3, 3),
+    st.tuples(
+        st.lists(st.integers(0, 2), min_size=4, max_size=4).map(
+            lambda exps: _pack(tuple((xvar(v), e) for v, e in enumerate(exps) if e))
+        ),
+        st.integers(-6, 6),
+        st.integers(1, 12),
+    ),
+), max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_sum_of_triples_matches_polynomials(parts):
+    total = Polynomial.sum(parts)
+    expected = Polynomial.sum(map(_triple_as_polynomial, parts))
+    assert total == expected and total._den == expected._den
+    assert_canonical(total)
 
 
 @given(st.lists(polynomials(max_terms=3), max_size=6))
