@@ -45,10 +45,9 @@ class ParseError(ValueError):
 # operator, after the whitespace before it; its first character is its kind.
 _TOKEN = re.compile(r"\s*([0-9]+|x[0-9]*|a|[-+*^/()])")
 _OK = frozenset("0123456789xa+-*^/()")
-# Variable token -> (1, 1, packed key).  Slots are append-only, so a cached
+# Variable token -> (packed key, 1, 1).  Slots are append-only, so a cached
 # key stays valid for the life of the process.
-_VARS = {name: (1, 1, 1 << (poly._slot(code) * poly.FIELD_BITS))
-         for name, code in (("x", X), ("a", A))}
+_VARS = {name: (poly.var_key(code), 1, 1) for name, code in (("x", X), ("a", A))}
 
 
 class _Parser:
@@ -95,38 +94,33 @@ class _Parser:
             yield self._term(1 if sign == "+" else -1)
 
     def _term(self, num: int):
-        """The term's sign num and its literal and variable factors are read
-        into one numerator, denominator and packed key; only the '(' and unary
-        '-' factors multiply Polynomials, into rest.  After each factor the
-        exponent guard is tested on the product so far, so ExponentOverflow
-        comes at the factor where a left-to-right Polynomial product raises it.
+        """The term's sign num and its leading literal and variable factors
+        are read into one packed key, numerator and denominator, with the
+        exponent guard tested after each factor.  From the first '(' or unary
+        '-' factor on, the factors multiply Polynomials left to right, and
+        each product tests the guard itself, so ExponentOverflow comes at the
+        factor where a left-to-right product reaches it.
 
         A term without such factors is the (packed key, numerator,
         denominator) triple that Polynomial.sum takes; any other is a
         Polynomial."""
         tokens = self.tokens
-        den, key, rest = 1, 0, None
-        while True:
-            atom = self._atom()
-            if atom is None:
-                f = self._factor()
-                # A zero product stays zero, so it multiplies and overflows no more.
-                rest = f if rest is None or not num else rest * f
-            else:
-                n, d, k = atom
-                e = self._exponent()
-                num, den, key = num * n**e, den * d**e, key + k * e
-            guard = poly._GUARD  # read after _atom registers a new slot
-            if num and (
-                key & guard if rest is None else any((key + m) & guard for m in rest._terms)
-            ):
+        key, den = 0, 1
+        while (atom := self._atom()) is not None:
+            k, n, d = atom
+            e = self._exponent()
+            key, num, den = key + k * e, num * n**e, den * d**e
+            # poly.GUARD is live: it has the bit of a slot _atom just added.
+            if num and key & poly.GUARD:
                 raise poly.ExponentOverflow()
             if tokens[self.index] != "*":
-                break
+                return key, num, den
             self.index += 1
-        if rest is None:
-            return key, num, den
-        return Polynomial._make({key: num} if num else {}, den) * rest
+        p = Polynomial.sum(((key, num, den),)) * self._factor()
+        while tokens[self.index] == "*":
+            self.index += 1
+            p = p * self._factor()
+        return p
 
     def _exponent(self) -> int:
         """The exponent after '^' at the next token, or 1 if none follows."""
@@ -145,9 +139,10 @@ class _Parser:
         return self._base() ** self._exponent()
 
     def _atom(self):
-        """(numerator, denominator, packed key) of the literal or variable at
-        the next token, which is consumed; None, with nothing consumed, for
-        any other token.  A literal p/q is one atom, so 3/4^2 is 9/16."""
+        """The (packed key, numerator, denominator) triple of the literal or
+        variable at the next token, which is consumed; None, with nothing
+        consumed, for any other token.  A literal p/q is one atom, so 3/4^2
+        is 9/16."""
         tokens = self.tokens
         i = self.index
         token = tokens[i]
@@ -156,7 +151,7 @@ class _Parser:
             numerator = int(token) if len(token) <= poly.DIGIT_LIMIT else self._int(token, i)
             if tokens[i + 1] != "/":
                 self.index = i + 1
-                return numerator, 1, 0
+                return 0, numerator, 1
             i += 2
             if not tokens[i].isdigit():
                 raise self._error("expected denominator digits", i)
@@ -164,7 +159,7 @@ class _Parser:
             if not denominator:
                 raise self._error("zero denominator", i)
             self.index = i + 1
-            return numerator, denominator, 0
+            return 0, numerator, denominator
         if atom is None:
             if token[:1] != "x":  # "x" and "a" are in _VARS
                 return None
@@ -173,15 +168,14 @@ class _Parser:
                 code = xvar(index)
             except ValueError as exc:
                 raise self._error(str(exc), i) from None
-            atom = _VARS[token] = (1, 1, 1 << (poly._slot(code) * poly.FIELD_BITS))
+            atom = _VARS[token] = (poly.var_key(code), 1, 1)
         self.index = i + 1
         return atom
 
     def _base(self) -> Polynomial:
         atom = self._atom()
         if atom is not None:
-            num, den, key = atom
-            return Polynomial._make({key: num} if num else {}, den)
+            return Polynomial.sum((atom,))
         i = self.index
         token = self.tokens[i]
         if token not in ("(", "-"):

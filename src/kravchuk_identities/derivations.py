@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import islice
 from math import factorial, gcd, lcm
-from operator import or_
 
-from . import arith, poly
+from . import arith
 from .poly import Polynomial, exact_div, generators, xvar
 
 
@@ -47,41 +46,8 @@ def kravchuk2(n: int) -> Polynomial:
 
 def apply(D, p: Polynomial) -> Polynomial:
     """D(p) = sum_v dp/dx_v * D(x_v): a derivation is fixed by the images
-    of the generators.
-
-    Every image is built first and scaled once to the lcm of their
-    denominators; then each term c x^m of p with exponent e of x_v adds
-    c e c2 at x^(m - e_v) x^m2 for each term c2 x^m2 of D(x_v), all into
-    one dict, with no Polynomial per derivative or per product.  As in
-    Polynomial.__mul__, a set guard bit in the OR of p's keys plus the OR
-    of D(x_v)'s sends that generator's product keys through the overflow
-    check; a linear image cannot cancel an overflowed key within one
-    product."""
-    images = [(v, D(v)) for v in generators(p)]
-    images = [(v, q) for v, q in images if q._terms]
-    den = lcm(*(q._den for _, q in images))
-    guard = poly._GUARD  # read after D registers the slots of its images
-    terms = p._terms.items()
-    reach = reduce(or_, p._terms, 0)
-    mask = poly._FIELD_MASK
-    total: dict = {}
-    get = total.get
-    for v, q in images:
-        shift = poly._SLOTS[v] * poly.FIELD_BITS
-        unit = 1 << shift
-        scale = den // q._den
-        image = [(m2, c2 * scale) for m2, c2 in q._terms.items()]
-        # The terms of dp/dx_v, as (packed key, numerator) pairs.
-        rows = [(m - unit, c * e) for m, c in terms if (e := (m >> shift) & mask)]
-        if (reach + reduce(or_, q._terms, 0)) & guard and any(
-            (m + m2) & guard for m, _ in rows for m2, _ in image
-        ):
-            raise poly.ExponentOverflow()
-        for m, c in rows:
-            for m2, c2 in image:
-                key = m + m2
-                total[key] = get(key, 0) + c * c2
-    return Polynomial._make({m: c for m, c in total.items() if c}, den * p._den)
+    of the generators, and only those of p's generators are built."""
+    return p.derive({v: D(v) for v in generators(p)})
 
 
 def _iterates(D, p: Polynomial):

@@ -61,15 +61,10 @@ class IdentityReport(SimpleNamespace):
 
 
 def _classification(image: Polynomial) -> str:
-    dx = image.diff(X)
-    da = image.diff(A)
-    if dx.is_zero and da.is_zero:
-        return CONSTANT
-    if dx.is_zero:
-        return ONLY_A
-    if da.is_zero:
-        return ONLY_X
-    return MIXED
+    variables = image.variables()
+    if X in variables:
+        return MIXED if A in variables else ONLY_X
+    return ONLY_A if A in variables else CONSTANT
 
 
 def proportional(lhs: Polynomial, rhs: Polynomial) -> Fraction | None:

@@ -3,12 +3,11 @@
 psi_ak1 transports ker(weitzenbock) into ker(kravchuk1) via the T(n,i)
 coefficients, psi_ak2 into ker(kravchuk2) via B(n,k) = k! S(n,k).  Each map
 is the function n -> psi(x_n), a linear form in x_0..x_n, and extends to
-Q[x0, x1, ...] by substitution.
+Q[x0, x1, ...] by substitution.  Only the coefficient rows are kept; each
+call builds its linear form afresh.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .poly import Polynomial, generators
 
@@ -56,10 +55,11 @@ def b_coeff(n: int, k: int) -> int:
     return _coeff("ak2", n, k, "k")
 
 
-@lru_cache(maxsize=None)
 def build_psi(kind: str, n: int) -> Polynomial:
     """psi(x_n) for kind "ak1" or "ak2": the linear form sum_i row[i] x_i
-    (row 0 is (1,), so psi(x_0) = x_0)."""
+    (row 0 is (1,), so psi(x_0) = x_0), built on each call from the kept
+    row; no caller asks for the same psi(x_n) twice (see apply_psi and the
+    moment cache in identities)."""
     if kind not in ("ak1", "ak2"):
         raise ValueError(f"unknown intertwining map kind: {kind!r}")
     return Polynomial.linear(dict(enumerate(_row(kind, n))))

@@ -5,11 +5,7 @@ from functools import lru_cache
 from math import factorial
 
 from . import derivations
-from .poly import A, EXPONENT_LIMIT, FIELD_BITS, X, ExponentOverflow, Polynomial, _slot, generators
-
-# The bit offsets of the x and a fields in a packed key.
-_SX = _slot(X) * FIELD_BITS
-_SA = _slot(A) * FIELD_BITS
+from .poly import EXPONENT_LIMIT, ExponentOverflow, Polynomial, generators
 
 
 # (m, rows of P_{m-1}, rows of P_m) for the highest m built so far.
@@ -49,17 +45,14 @@ def _rows(n: int) -> list:
 @lru_cache(maxsize=None)
 def kravchuk(n: int) -> Polynomial:
     """K_n(x,a) = P_n / n!, packed once from the integer rows of P_n (see
-    _rows); _make divides out the gcd, so K_n is in canonical form."""
+    _rows); Polynomial.from_xa_rows divides out the gcd, so K_n is in
+    canonical form."""
     if n < 0:
         raise ValueError(f"kravchuk: n must be >= 0, got {n}")
     # x^n is a term, and its exponent would carry into the field of a.
     if n >= EXPONENT_LIMIT:
         raise ExponentOverflow()
-    return Polynomial._make(
-        {(i << _SX) + (j << _SA): c
-         for i, row in enumerate(_rows(n)) for j, c in enumerate(row) if c},
-        factorial(n),
-    )
+    return Polynomial.from_xa_rows(_rows(n), factorial(n))
 
 
 _clear_kravchuk = kravchuk.cache_clear

@@ -20,6 +20,12 @@ A polynomial is stored as {packed monomial: nonzero int numerator} over one
 positive int denominator, with gcd(denominator, *numerators) == 1 and
 denominator 1 for zero.  The form is canonical, so equality and hashing are
 structural, and products and sums run on ints.
+
+Other modules rely on this layout through one contract alone: var_key(code)
+is the key of a variable; keys add, so e * var_key(v) + e2 * var_key(v2) is
+the key of v^e v2^e2; a key that has a bit of GUARD set holds an exponent
+of EXPONENT_LIMIT or more; and Polynomial.sum takes a single term as a
+(key, numerator, denominator) triple.
 """
 
 from __future__ import annotations
@@ -74,18 +80,26 @@ class DigitOverflow(ValueError):
 # packed key stays valid for the life of the process.
 _CODES: list = []  # slot -> variable code
 _SLOTS: dict = {}  # variable code -> slot
-_GUARD = 0  # the guard bit of every registered field
+# The guard bit of every registered field: the live mask, which gains a bit
+# with each new slot, so read it as poly.GUARD after the keys it tests were
+# made, not through a name bound at import.
+GUARD = 0
 
 
 def _slot(code: int) -> int:
     """The field slot of a variable code, registered on first use."""
-    global _GUARD
+    global GUARD
     slot = _SLOTS.get(code)
     if slot is None:
         slot = _SLOTS[code] = len(_CODES)
         _CODES.append(code)
-        _GUARD |= 1 << (slot * FIELD_BITS + FIELD_BITS - 1)
+        GUARD |= 1 << (slot * FIELD_BITS + FIELD_BITS - 1)
     return slot
+
+
+def var_key(code: int) -> int:
+    """The packed key of the variable code to the first power."""
+    return 1 << (_slot(code) * FIELD_BITS)
 
 
 def xvar(i: int) -> int:
@@ -124,7 +138,7 @@ def _pack(mono: Monomial) -> int:
         if e >= EXPONENT_LIMIT:
             raise ExponentOverflow()
         m += e << (_slot(v) * FIELD_BITS)
-    if m & _GUARD:  # a variable repeated in mono
+    if m & GUARD:  # a variable repeated in mono
         raise ExponentOverflow()
     return m
 
@@ -197,15 +211,22 @@ class Polynomial:
 
     @classmethod
     def var(cls, code: int) -> "Polynomial":
-        return cls._make({1 << (_slot(code) * FIELD_BITS): 1})
+        return cls._make({var_key(code): 1})
 
     @classmethod
     def linear(cls, coeffs: dict, den: int = 1) -> "Polynomial":
         """The linear form sum_i coeffs[i] x_i / den, from {generator index:
         int numerator} over den > 0; zero coefficients are skipped."""
-        return cls._make(
-            {1 << (_slot(xvar(i)) * FIELD_BITS): c for i, c in coeffs.items() if c}, den
-        )
+        return cls._make({var_key(xvar(i)): c for i, c in coeffs.items() if c}, den)
+
+    @classmethod
+    def from_xa_rows(cls, rows, den: int) -> "Polynomial":
+        """sum_{i,j} rows[i][j] x^i a^j / den, from rows of int numerators
+        over den > 0; every row, and the number of rows, stays within
+        EXPONENT_LIMIT."""
+        sx, sa = _slot(X) * FIELD_BITS, _slot(A) * FIELD_BITS
+        return cls._make({(i << sx) + (j << sa): c for i, row in enumerate(rows)
+                          for j, c in enumerate(row) if c}, den)
 
     @staticmethod
     def sum(parts) -> "Polynomial":
@@ -320,8 +341,8 @@ class Polynomial:
         # Each field of an OR bounds that exponent in every key, so a clear
         # guard bit in the sum of the ORs rules out an overflow, and only a
         # set one needs the product's keys checked.
-        if (reduce(or_, a, 0) + reduce(or_, b, 0)) & _GUARD and (
-            reduce(or_, result, 0) & _GUARD
+        if (reduce(or_, a, 0) + reduce(or_, b, 0)) & GUARD and (
+            reduce(or_, result, 0) & GUARD
         ):
             raise ExponentOverflow()
         return Polynomial._make(result, self._den * other._den)
@@ -366,17 +387,8 @@ class Polynomial:
     # -- calculus & substitution --------------------------------------
 
     def diff(self, code: int) -> "Polynomial":
-        slot = _SLOTS.get(code)
-        if slot is None:
-            return Polynomial.zero()
-        shift = slot * FIELD_BITS
-        unit = 1 << shift
-        result: dict = {}
-        for m, c in self._terms.items():
-            e = (m >> shift) & _FIELD_MASK
-            if e:
-                result[m - unit] = c * e
-        return Polynomial._make(result, self._den)
+        """d(self)/d(code): the derivation that maps code to 1."""
+        return self.derive({code: Polynomial.one()})
 
     def substitute(self, bindings: dict) -> "Polynomial":
         """Ring-homomorphism image under var code -> Polynomial bindings.
@@ -396,6 +408,44 @@ class Polynomial:
             reduce(mul, (powers[key] for key in m), c) for m, c in terms
         )
         return Polynomial._make(total._terms, total._den * self._den)
+
+    def derive(self, images: dict) -> "Polynomial":
+        """The derivation image sum_v d(self)/dv * images[v], from var code ->
+        Polynomial images; a variable with no image is a constant of the
+        derivation, and the image of one that self does not use adds nothing.
+
+        Every image is scaled once to the lcm of their denominators; then
+        each term c x^m of self with exponent e of v adds c e c2 at
+        x^(m - e_v) x^m2 for each term c2 x^m2 of images[v], all into one
+        dict, with no Polynomial per derivative or per product.  As in
+        __mul__, a set guard bit in the OR of self's keys plus the OR of
+        images[v]'s sends that variable's product keys through the overflow
+        check; a linear image cannot cancel an overflowed key within one
+        product."""
+        images = [(v, q) for v, q in images.items() if q._terms and v in _SLOTS]
+        den = lcm(*(q._den for _, q in images))
+        guard = GUARD  # read after the images registered their slots
+        terms = self._terms.items()
+        reach = reduce(or_, self._terms, 0)
+        mask = _FIELD_MASK
+        total: dict = {}
+        get = total.get
+        for v, q in images:
+            shift = _SLOTS[v] * FIELD_BITS
+            unit = 1 << shift
+            scale = den // q._den
+            image = [(m2, c2 * scale) for m2, c2 in q._terms.items()]
+            # The terms of d(self)/dv, as (packed key, numerator) pairs.
+            rows = [(m - unit, c * e) for m, c in terms if (e := (m >> shift) & mask)]
+            if (reach + reduce(or_, q._terms, 0)) & guard and any(
+                (m + m2) & guard for m, _ in rows for m2, _ in image
+            ):
+                raise ExponentOverflow()
+            for m, c in rows:
+                for m2, c2 in image:
+                    key = m + m2
+                    total[key] = get(key, 0) + c * c2
+        return Polynomial._make({m: c for m, c in total.items() if c}, den * self._den)
 
     def __repr__(self):
         return f"Polynomial({render_text(self)})"
@@ -546,7 +596,7 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
         raise ZeroDivisionError("exact_div by zero polynomial")
     if q.is_constant:
         return p / q.constant_value()
-    guard = _GUARD
+    guard = GUARD
     content = gcd(*q._terms.values())
     divisor = [(_degree(m), m, c // content) for m, c in q._terms.items()]
     divisor.sort()

@@ -1,3 +1,4 @@
+import ast
 import operator
 import os
 import subprocess
@@ -5,11 +6,13 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kravchuk_identities import poly
 from kravchuk_identities.poly import (
     DIGIT_LIMIT,
     EXPONENT_LIMIT,
@@ -560,3 +563,24 @@ def test_render_does_not_depend_on_slot_order():
         '{"coeff": "-1", "monomial": {"x2": 3}}, '
         '{"coeff": "-1", "monomial": {"x5": 1}}, {"coeff": "7", "monomial": {}}]',
     ]
+
+
+# The packed-key layout is poly's own; other modules use var_key, keys that
+# add, GUARD and Polynomial.sum's (key, numerator, denominator) triples.
+_POLY_INTERNALS = {
+    "_slot", "_SLOTS", "_CODES", "_FIELD_MASK", "FIELD_BITS", "_GUARD", "_make", "_terms", "_den"
+}
+
+
+def test_only_poly_knows_the_packed_layout():
+    uses = []
+    for path in sorted(Path(poly.__file__).parent.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in _POLY_INTERNALS:
+                uses.append(f"{path.name}:{node.lineno} {name}")
+    assert not uses
