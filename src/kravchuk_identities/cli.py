@@ -416,17 +416,17 @@ def _report_lines(reports, fmt: str) -> str:
         return json.dumps([r.to_record() for r in reports], indent=2)
     lines = []
     for r in reports:
-        rec = r.to_record()
         if fmt == "latex":
             lhs = render_latex(r.image)
             rhs = render_latex(r.expected) if r.expected is not None else "?"
             lines.append(
-                f"% {rec['check_id']} n={rec['n']} {rec['verdict']}\n"
+                f"% {r.check_id} n={r.n} {r.verdict}\n"
                 f"{lhs} \\stackrel{{?}}{{=}} {rhs}"
             )
         else:
+            rec = r.to_record()
             extra = ""
-            if r.verdict == "Refuted" and r.ratio is not None:
+            if r.verdict == identities.REFUTED and r.ratio is not None:
                 extra = f" (proportional, ratio {r.ratio})"
             lines.append(
                 f"{rec['check_id']} n={rec['n']}: {rec['verdict']}{extra}\n"
@@ -505,7 +505,7 @@ def _dispatch(args) -> int:
         if expected is None:
             return 0
         print(f"verdict: {report.verdict}")
-        return 0 if report.verdict == "Verified" else 1
+        return 0 if report.verdict == identities.VERIFIED else 1
     if cmd == "conjecture":
         reports = _run_conjecture(args.which, args.max_n)
         text = _report_lines(reports, args.format)
@@ -514,14 +514,14 @@ def _dispatch(args) -> int:
                 fh.write(text + "\n")
         else:
             print(text)
-        return 0 if all(r.verdict == "Verified" for r in reports) else 1
+        return 0 if all(r.verdict == identities.VERIFIED for r in reports) else 1
     if cmd == "discriminant-demo":
         report = identities.discriminant_identity()
         print(f"discriminant matches: {report.notes['discriminant_matches']}")
         print(f"transported element in ker D_K1: {report.notes['in_kernel_k1']}")
         print(f"phi_K image: {render_text(report.image)}")
         print(f"verdict: {report.verdict}")
-        return 0 if report.verdict == "Verified" else 1
+        return 0 if report.verdict == identities.VERIFIED else 1
     raise ValueError(f"unknown command {cmd!r}")
 
 

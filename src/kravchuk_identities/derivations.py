@@ -126,7 +126,7 @@ def dixmier_sigma(D, i: int) -> Sigma:
     lambda = -x1/(c x0), where D(x1) = c x0; a kernel element of the ring
     localized at x0."""
     x0 = Polynomial.var(xvar(0))
-    dx1 = apply(D, Polynomial.var(xvar(1)))
+    dx1 = D(1)
     c = dx1.coeff(((xvar(0), 1),))
     if not c or dx1 != x0 * c or not D(0).is_zero:
         raise ValueError(f"sigma needs D(x0) = 0 and D(x1) = c*x0, c != 0 ({D.__name__})")
@@ -179,10 +179,7 @@ def cayley_k2(n: int) -> CayleyK2:
     primitive = num / content
     # Sign convention per the published sigma tables: the x_1 * x_0^power
     # coefficient of the primitive part is positive.
-    if power > 0:
-        anchor_mono = ((xvar(0), power), (xvar(1), 1))
-    else:
-        anchor_mono = ((xvar(1), 1),)
-    if primitive.coeff(anchor_mono) < 0:
+    anchor = tuple((xvar(v), e) for v, e in ((0, power), (1, 1)) if e)
+    if primitive.coeff(anchor) < 0:
         primitive, content = -primitive, -content
     return CayleyK2(primitive, content, power)

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 from . import arith
 from .derivations import is_in_kernel, kravchuk1, weitzenbock
 from .intertwine import apply_psi, psi_ak1, psi_ak2
-from .kravchuk import kravchuk, phi_k
+from .kravchuk import build_kravchuk, phi_k
 from .poly import (
     A,
     X,
@@ -121,7 +121,7 @@ def _slice(check_id: str, n: int, x, a, even_rhs) -> IdentityReport:
     if n < 2:
         raise ValueError(f"{check_id}: n must be >= 2, got {n}")
     start = time.perf_counter()
-    lhs = kravchuk(n).substitute({X: x, A: a})
+    lhs = build_kravchuk(n).substitute({X: x, A: a})
     rhs = Polynomial.zero() if n % 2 else even_rhs(n // 2)
     return _report(check_id, n, lhs, rhs, start)
 
@@ -233,19 +233,20 @@ def _c3_product(n: int, c: int, v: Polynomial, s: int, top: int) -> Polynomial:
     return reduce(mul, factors, Polynomial.constant((-1) ** (n * (n + 1) // 2) * c))
 
 
-def _c3_rhs_part1(n: int, shifted: bool = False) -> Polynomial:
-    """Part (i) right side; shifted=True extends every product by one
-    index (the reading under which the computed sides actually agree)."""
-    top = n if shifted else n - 1
+def _c3_rhs_part1(n: int, top: int) -> Polynomial:
+    """Part (i) right side with its products up to top: top = n - 1 is the
+    stated side, and top = n extends every product by one index (the
+    reading under which the computed sides actually agree)."""
     c = prod(map(factorial, range(top + 1)))
     return _c3_product(n, c, Polynomial.var(A), 1, top)
 
 
-def _c3_rhs_part2(n: int, shifted: bool = False) -> Polynomial:
-    """Part (ii) right side, reading the 2^i i! product up to i = n;
-    shifted=True extends the geometric product by one index."""
+def _c3_rhs_part2(n: int, top: int) -> Polynomial:
+    """Part (ii) right side, reading the 2^i i! product up to i = n, with
+    the geometric product up to top: top = n - 1 is the stated side, and
+    top = n extends it by one index."""
     c = prod(2**i * factorial(i) for i in range(n + 1))
-    return _c3_product(n, c, Polynomial.var(X), -1, n if shifted else n - 1)
+    return _c3_product(n, c, Polynomial.var(X), -1, top)
 
 
 class _Chebyshev:
@@ -345,6 +346,6 @@ def conjecture3(n: int) -> tuple:
     ):
         start = time.perf_counter()
         image = _table(psi).det(n)
-        notes = {"shifted_products_match": image == rhs(n, shifted=True)}
-        reports.append(_report(check_id, n, image, rhs(n), start, notes))
+        notes = {"shifted_products_match": image == rhs(n, n)}
+        reports.append(_report(check_id, n, image, rhs(n, n - 1), start, notes))
     return tuple(reports)

@@ -42,10 +42,9 @@ def _rows(n: int) -> list:
     return cur
 
 
-@lru_cache(maxsize=None)
-def kravchuk(n: int) -> Polynomial:
-    """K_n(x,a) = P_n / n!, packed once from the integer rows of P_n (see
-    _rows); Polynomial.from_xa_rows divides out the gcd, so K_n is in
+def build_kravchuk(n: int) -> Polynomial:
+    """K_n(x,a) = P_n / n!, packed from the integer rows of P_n (see _rows)
+    on every call; Polynomial.from_xa_rows divides out the gcd, so K_n is in
     canonical form."""
     if n < 0:
         raise ValueError(f"kravchuk: n must be >= 0, got {n}")
@@ -54,6 +53,10 @@ def kravchuk(n: int) -> Polynomial:
         raise ExponentOverflow()
     return Polynomial.from_xa_rows(_rows(n), factorial(n))
 
+
+# K_n built once per n, for the callers that reuse it (phi_K and the
+# expansions); a caller that reads K_n once calls build_kravchuk.
+kravchuk = lru_cache(maxsize=None)(build_kravchuk)
 
 _clear_kravchuk = kravchuk.cache_clear
 

@@ -171,7 +171,7 @@ _slot(A)
 
 
 class Polynomial:
-    __slots__ = ("_terms", "_den", "_hash")
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: dict):
         """From {tuple monomial: int | Fraction}, over the lcm of the
@@ -181,7 +181,6 @@ class Polynomial:
             _pack(m): c.numerator * (den // c.denominator) for m, c in terms.items() if c
         }
         self._den = den if self._terms else 1
-        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -194,7 +193,7 @@ class Polynomial:
                 terms = {m: c // g for m, c in terms.items()}
                 den //= g
         p = cls.__new__(cls)
-        p._terms, p._den, p._hash = terms, den, None
+        p._terms, p._den = terms, den
         return p
 
     @classmethod
@@ -271,11 +270,6 @@ class Polynomial:
     @property
     def is_constant(self) -> bool:
         return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError("polynomial is not a constant")
-        return Fraction(self._terms.get(0, 0), self._den)
 
     def terms(self):
         """(tuple monomial, Fraction coefficient) pairs in insertion order."""
@@ -380,9 +374,7 @@ class Polynomial:
         return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((frozenset(self._terms.items()), self._den))
-        return self._hash
+        return hash((frozenset(self._terms.items()), self._den))
 
     # -- calculus & substitution --------------------------------------
 
@@ -594,8 +586,6 @@ def exact_div(p: Polynomial, q: Polynomial) -> Polynomial:
     """
     if q.is_zero:
         raise ZeroDivisionError("exact_div by zero polynomial")
-    if q.is_constant:
-        return p / q.constant_value()
     guard = GUARD
     content = gcd(*q._terms.values())
     divisor = [(_degree(m), m, c // content) for m, c in q._terms.items()]

@@ -176,6 +176,16 @@ def test_conjectures_1_2_proved_values():
             assert c2 == binom_poly(x, m) * (-1) ** m
 
 
+def test_conjectures_1_2_cache_no_k_n():
+    # A sweep reads each K_n once, on a slice: caching them held every K_n
+    # to the end (253 MB RSS at n = 200).
+    kravchuk.cache_clear()
+    for n in range(2, 31):
+        conjecture1(n)
+        conjecture2(n)
+    assert kravchuk.cache_info().currsize == 0
+
+
 @given(polynomials(max_var=2, max_exp=2))
 @settings(max_examples=25, deadline=None)
 def test_phi_of_dixmier_sigma_is_phi_on_the_slice(f):

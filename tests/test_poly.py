@@ -215,6 +215,19 @@ def test_exact_div():
         exact_div(x0, 2 * x0 + 3)
 
 
+def test_exact_div_by_constants():
+    # A constant divisor takes the same division loop as any other; the
+    # quotient is canonical and equal to scalar division.
+    p = (3 * x0 ** 2 * x1 - 6 * x2 + 9) / 4
+    for dividend in (p, Polynomial.zero(), Polynomial.constant(Fraction(-5, 6))):
+        for c in (-3, Fraction(-7, 9), Fraction(2, 3), 1):
+            quotient = exact_div(dividend, Polynomial.constant(c))
+            assert quotient == dividend / c, (dividend, c)
+            assert quotient._den > 0
+            assert gcd(quotient._den, *quotient._terms.values()) == 1, (dividend, c)
+            assert 0 not in quotient._terms.values()
+
+
 @given(polynomials(), polynomials(), polynomials())
 @settings(max_examples=50, deadline=None)
 def test_ring_axioms(p, q, r):
