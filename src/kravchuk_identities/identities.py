@@ -227,26 +227,11 @@ def discriminant_identity() -> IdentityReport:
     return report
 
 
-def _c3_product(n: int, c: int, v: Polynomial, s: int, top: int) -> Polynomial:
-    """(-1)^(n(n+1)/2) c prod_{i<top} (v + s i)^(top-i)."""
-    factors = ((v + s * i) ** (top - i) for i in range(top))
+def _c3_stated(n: int, c: int, v: Polynomial, s: int) -> Polynomial:
+    """The stated right side of conjecture 3 at n:
+    (-1)^(n(n+1)/2) c prod_{i<n-1} (v + s i)^(n-1-i)."""
+    factors = ((v + s * i) ** (n - 1 - i) for i in range(n - 1))
     return reduce(mul, factors, Polynomial.constant((-1) ** (n * (n + 1) // 2) * c))
-
-
-def _c3_rhs_part1(n: int, top: int) -> Polynomial:
-    """Part (i) right side with its products up to top: top = n - 1 is the
-    stated side, and top = n extends every product by one index (the
-    reading under which the computed sides actually agree)."""
-    c = prod(map(factorial, range(top + 1)))
-    return _c3_product(n, c, Polynomial.var(A), 1, top)
-
-
-def _c3_rhs_part2(n: int, top: int) -> Polynomial:
-    """Part (ii) right side, reading the 2^i i! product up to i = n, with
-    the geometric product up to top: top = n - 1 is the stated side, and
-    top = n extends it by one index."""
-    c = prod(2**i * factorial(i) for i in range(n + 1))
-    return _c3_product(n, c, Polynomial.var(X), -1, top)
 
 
 class _Chebyshev:
@@ -335,17 +320,18 @@ def conjecture3(n: int) -> tuple:
     over Q[x,a], read off psi's Chebyshev table; det H_n itself is never
     expanded, and a sweep over n computes each table entry once.
     Part (ii)'s 2^i i! product is read with the upper bound n, the only
-    reading under which the shifted products match (checked for n <= 20).
+    reading under which the image equals the products extended by one
+    index (Heilermann's formula; the tests check it for n <= 20).
     """
     if n < 1:
         raise ValueError(f"conjecture3: n must be >= 1, got {n}")
     reports = []
-    for check_id, psi, rhs in (
-        ("conjecture3i", psi_ak1, _c3_rhs_part1),
-        ("conjecture3ii", psi_ak2, _c3_rhs_part2),
+    for check_id, psi, code, s, c in (
+        ("conjecture3i", psi_ak1, A, 1, prod(map(factorial, range(n)))),
+        ("conjecture3ii", psi_ak2, X, -1, prod(2**i * factorial(i) for i in range(n + 1))),
     ):
         start = time.perf_counter()
         image = _table(psi).det(n)
-        notes = {"shifted_products_match": image == rhs(n, n)}
-        reports.append(_report(check_id, n, image, rhs(n, n - 1), start, notes))
+        expected = _c3_stated(n, c, Polynomial.var(code), s)
+        reports.append(_report(check_id, n, image, expected, start))
     return tuple(reports)

@@ -267,10 +267,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
-
     def terms(self):
         """(tuple monomial, Fraction coefficient) pairs in insertion order."""
         return ((_unpack(m), Fraction(c, self._den)) for m, c in self._terms.items())

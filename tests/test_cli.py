@@ -836,7 +836,16 @@ import contextlib, io, json, sys
 before = set(sys.modules)
 import kravchuk_identities.cli as cli
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.run(["poly", "3"]), cli.run(["conjecture", "1", "--max-n", "2"])]
+    codes = [
+        cli.run(argv)
+        for argv in (
+            ["poly", "3"],
+            ["conjecture", "1", "--max-n", "2"],
+            ["conjecture", "3", "--max-n", "2", "--format", "json"],
+            ["derivation", "apply", "--kind", "k2", "x3*x1 - x2^2"],
+            ["discriminant-demo"],
+        )
+    ]
 print(json.dumps({"codes": codes, "added": sorted(set(sys.modules) - before)}))
 """
 
@@ -852,8 +861,12 @@ def test_cli_cold_run_imports_no_argparse_gettext_or_locale():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 1]  # conjecture 1 is refuted at n = 2
+    assert result["codes"] == [0, 1, 1, 0, 0]  # conjectures 1 and 3 are refuted
     assert not {"argparse", "gettext", "locale"} & set(result["added"])
+    # The runtime is standard library only.
+    assert {name.partition(".")[0] for name in result["added"]} <= set(
+        sys.stdlib_module_names
+    ) | {"kravchuk_identities"}
     # The record classes are namedtuples and a SimpleNamespace, not
     # dataclasses, which import inspect.
     assert not {"dataclasses", "inspect"} & set(result["added"])

@@ -1,7 +1,7 @@
 import time
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +41,7 @@ from kravchuk_identities.poly import (
     Polynomial,
     binom_poly,
     determinant,
+    exact_div,
     generators,
     xvar,
 )
@@ -235,26 +236,41 @@ def test_discriminant_chain():
     assert rep.classification == ONLY_A
 
 
+def _lambda_i(k):
+    return -k * (a + k - 1)
+
+
+def _lambda_ii(k):
+    return -2 * k * (x - k + 1)
+
+
+def _heilermann(lam, n):
+    """det H_n = mu_0^(n+1) lambda_1^n ... lambda_n^1 with mu_0 = 1: the
+    conjectured products, each shifted by one index."""
+    expected = Polynomial.one()
+    for k in range(1, n + 1):
+        expected = expected * lam(k) ** (n + 1 - k)
+    return expected
+
+
 def test_conjecture3_n1():
     rep_i, rep_ii = conjecture3(1)
     # literal products refute, but each side matches the product reading
     # shifted by one index
     assert rep_i.verdict == REFUTED
-    assert rep_i.image == -a
-    assert rep_i.notes["shifted_products_match"]
+    assert rep_i.image == -a == _heilermann(_lambda_i, 1)
     assert rep_ii.verdict == REFUTED
-    assert rep_ii.image == -2 * x
-    assert rep_ii.notes["shifted_products_match"]
+    assert rep_ii.image == -2 * x == _heilermann(_lambda_ii, 1)
 
 
 def test_conjecture3_small_sweep():
     for n in range(2, 7):
         rep_i, rep_ii = conjecture3(n)
         assert rep_i.verdict == REFUTED
-        assert rep_i.notes["shifted_products_match"]
+        assert rep_i.image == _heilermann(_lambda_i, n)
         assert rep_i.classification == ONLY_A
         assert rep_ii.verdict == REFUTED
-        assert rep_ii.notes["shifted_products_match"]
+        assert rep_ii.image == _heilermann(_lambda_ii, n)
         assert rep_ii.classification == ONLY_X
 
 
@@ -318,8 +334,8 @@ def test_conjecture3_table_survives_an_interrupted_step(monkeypatch):
     with pytest.raises(RuntimeError, match="interrupted"):
         conjecture3(5)
     for n in range(1, 6):
-        for rep in conjecture3(n):
-            assert rep.notes["shifted_products_match"]
+        for rep, lam in zip(conjecture3(n), (_lambda_i, _lambda_ii)):
+            assert rep.image == _heilermann(lam, n)
 
 
 def test_conjecture3_is_the_laplace_hankel_determinant():
@@ -344,37 +360,44 @@ def test_chebyshev_table_on_moments_with_a_factor():
         identities.moment.cache_clear()
 
 
-def _lambda_i(k):
-    return -k * (a + k - 1)
-
-
-def _lambda_ii(k):
-    return -2 * k * (x - k + 1)
-
-
 def test_conjecture3_recurrence_closed_forms():
     # the J-fraction of the moments: b_k = alpha_k, lambda_k = beta_k
-    conjecture3(11)
+    conjecture3(20)
     t_i, t_ii = (identities._table(psi) for psi in (psi_ak1, psi_ak2))
     assert t_i.beta[0] == t_ii.beta[0] == 1
-    for k in range(11):
+    for k in range(20):
         assert t_i.alpha[k] == a - 2 * x
         assert t_ii.alpha[k] == a - 2 * x + 3 * k
-    for k in range(1, 11):
+    for k in range(1, 20):
         assert t_i.beta[k] == _lambda_i(k)
         assert t_ii.beta[k] == _lambda_ii(k)
 
 
 def test_conjecture3_shifted_products_through_20():
-    # Heilermann: det H_n = mu_0^(n+1) lambda_1^n ... lambda_n^1 with mu_0 = 1
     for n in range(1, 21):
         for rep, lam in zip(conjecture3(n), (_lambda_i, _lambda_ii)):
             assert rep.verdict == REFUTED
-            assert rep.notes["shifted_products_match"]
-            expected = Polynomial.one()
-            for k in range(1, n + 1):
-                expected = expected * lam(k) ** (n + 1 - k)
-            assert rep.image == expected
+            assert rep.image == _heilermann(lam, n)
+
+
+def test_conjecture3_stated_side_through_20():
+    # the paper's products as printed, and the factor the image has beyond them
+    for n in range(1, 21):
+        rep_i, rep_ii = conjecture3(n)
+        sign = (-1) ** (n * (n + 1) // 2)
+        stated_i = Polynomial.constant(sign * prod(factorial(i) for i in range(n)))
+        stated_ii = Polynomial.constant(sign * prod(2**i * factorial(i) for i in range(n + 1)))
+        for i in range(n - 1):
+            stated_i = stated_i * (a + i) ** (n - 1 - i)
+            stated_ii = stated_ii * (x - i) ** (n - 1 - i)
+        rising, falling = Polynomial.constant(factorial(n)), Polynomial.one()
+        for i in range(n):
+            rising, falling = rising * (a + i), falling * (x - i)
+        for rep, stated, factor in ((rep_i, stated_i, rising), (rep_ii, stated_ii, falling)):
+            assert rep.expected == stated
+            assert rep.notes == {}
+            assert rep.ratio is None
+            assert exact_div(rep.image, rep.expected) == factor
 
 
 def test_conjecture3_inexact_division_raises(monkeypatch):
