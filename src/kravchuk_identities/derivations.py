@@ -1,7 +1,7 @@
 """Triangular derivations of Q[x0, x1, ...]: the basic Weitzenbock
-derivation and the two Kravchuk derivations, with iterated powers,
-closed-form power coefficients, the Dixmier map and the Cayley kernel
-elements.
+derivation and the two Kravchuk derivations, with the Dixmier map and the
+Cayley kernel elements.  The closed forms of their powers D^k(x_n) are
+oracles in the tests.
 
 A derivation is the function n -> D(x_n), cached.  Each image uses only
 the x_j with j < n, so the images of the generators an input uses fix D on
@@ -13,10 +13,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from math import factorial, gcd, lcm
 
-from . import arith
 from .poly import Polynomial, exact_div, generators, xvar
 
 
@@ -57,56 +55,8 @@ def _iterates(D, p: Polynomial):
         p = apply(D, p)
 
 
-def power_apply(D, p: Polynomial, k: int) -> Polynomial:
-    """k-fold application of D; D^0 is the identity."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return next(islice(_iterates(D, p), k, None), Polynomial.zero())
-
-
 def is_in_kernel(D, p: Polynomial) -> bool:
     return apply(D, p).is_zero
-
-
-class ClosedForm(namedtuple("ClosedForm", "coeffs scale")):
-    """Coefficients of x_0..x_{n-k} in D^k(x_n), plus the constant relating
-    them to the printed closed-form coefficients (2^-k for the first
-    Kravchuk derivation, 1 for the second)."""
-
-    __slots__ = ()
-
-
-def dk1_power_coeff(k: int, m: int) -> Fraction:
-    """S^(k)(m)/2^k, the coefficient of z^m in the k-th power of the first
-    Kravchuk derivation's coefficient series (1/2)ln((1+z)/(1-z)); the
-    0-th power is 1 at m = 0, and every coefficient with m < k is 0."""
-    if k == 0:
-        return Fraction(1) if m == 0 else Fraction(0)
-    if m < k:
-        return Fraction(0)
-    return arith.s_upper(k, m) / 2**k
-
-
-def _power_closed(n: int, k: int, coeff, base) -> ClosedForm:
-    """The ClosedForm of D^k(x_n) with coefficients coeff(k, n - i) and
-    scale base^k."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    return ClosedForm(tuple(coeff(k, n - i) for i in range(n - k + 1)), Fraction(base) ** k)
-
-
-def dk1_power_closed(n: int, k: int) -> ClosedForm:
-    """D_K1^k(x_n) = 2^-k sum_i x_i S^(k)(n-i)."""
-    return _power_closed(n, k, dk1_power_coeff, Fraction(1, 2))
-
-
-def dk2_power_closed(n: int, k: int) -> ClosedForm:
-    """D_K2^k(x_n) = sum_i x_i * k!/(n-i)! * s(n-i, k)."""
-
-    def coeff(k, m):
-        return Fraction(factorial(k), factorial(m)) * arith.stirling_first(m, k)
-
-    return _power_closed(n, k, coeff, 1)
 
 
 class Sigma(namedtuple("Sigma", "numerator power")):

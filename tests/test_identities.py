@@ -79,6 +79,28 @@ def test_proportional():
     assert proportional(Polynomial.zero(), Polynomial.zero()) == 1
 
 
+def test_verdict_is_verified_exactly_when_ratio_is_one():
+    reports = [check(n) for check in (conjecture1, conjecture2) for n in range(2, 21)]
+    reports += [rep for n in range(1, 9) for rep in conjecture3(n)]
+    reports.append(discriminant_identity())
+    p = x1**2 - 2 * x2 * x0  # phi_K(p) = a
+    # equal, proportional, zero and both-zero expected sides
+    cases = [
+        classify(p, a),
+        classify(p, 3 * a),
+        classify(p, Polynomial.zero()),
+        classify(cayley_k1(3), Polynomial.zero()),
+    ]
+    assert [(r.verdict, r.ratio) for r in cases] == [
+        (VERIFIED, 1),
+        (REFUTED, Fraction(1, 3)),
+        (REFUTED, None),
+        (VERIFIED, 1),
+    ]
+    for rep in reports + cases:
+        assert (rep.verdict == VERIFIED) == (rep.ratio == 1), (rep.check_id, rep.n)
+
+
 def test_classify_cayley_images():
     # phi_K(C_n) table
     expectations = {

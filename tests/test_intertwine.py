@@ -7,52 +7,48 @@ from hypothesis import given, settings
 
 from kravchuk_identities import intertwine
 from kravchuk_identities.derivations import apply, is_in_kernel, kravchuk1, kravchuk2, weitzenbock
-from kravchuk_identities.intertwine import (
-    apply_psi,
-    b_coeff,
-    psi_ak1,
-    psi_ak2,
-    t_coeff,
-)
+from kravchuk_identities.intertwine import apply_psi, psi_ak1, psi_ak2
 from kravchuk_identities.poly import A, X, Polynomial, xvar
 
 from conftest import polynomials
-from oracles import b_coeff_stirling, b_genfun_oracle, t_coeff_stirling, t_genfun_oracle
+from oracles import (
+    b_coeff_stirling,
+    b_genfun_oracle,
+    psi_coeff,
+    t_coeff_stirling,
+    t_genfun_oracle,
+)
 
 x0, x1, x2, x3, x4, x5, x6 = (Polynomial.var(xvar(i)) for i in range(7))
 
 
 def test_t_coeff_examples():
-    assert t_coeff(1, 1) == 1
-    assert t_coeff(3, 1) == -2
-    assert t_coeff(3, 3) == 6
-    assert t_coeff(6, 2) == 272
+    assert psi_coeff(psi_ak1, 1, 1) == 1
+    assert psi_coeff(psi_ak1, 3, 1) == -2
+    assert psi_coeff(psi_ak1, 3, 3) == 6
+    assert psi_coeff(psi_ak1, 6, 2) == 272
     for n in range(1, 13):
-        assert t_coeff(n, n) == math.factorial(n)
-    with pytest.raises(ValueError):
-        t_coeff(3, 0)
+        assert psi_coeff(psi_ak1, n, n) == math.factorial(n)
 
 
 def test_t_coeff_parity_vanishing():
     for n in range(1, 13):
         for i in range(1, n + 1):
             if (n - i) % 2 == 1:
-                assert t_coeff(n, i) == 0
+                assert psi_coeff(psi_ak1, n, i) == 0
 
 
 def test_b_coeff_examples():
-    assert b_coeff(4, 2) == 14
-    assert b_coeff(4, 3) == 36
-    assert b_coeff(6, 5) == 1800
-    with pytest.raises(ValueError):
-        b_coeff(3, 4)
+    assert psi_coeff(psi_ak2, 4, 2) == 14
+    assert psi_coeff(psi_ak2, 4, 3) == 36
+    assert psi_coeff(psi_ak2, 6, 5) == 1800
 
 
 def test_coeffs_match_stirling_sums():
     for n in range(1, 31):
         for i in range(1, n + 1):
-            assert t_coeff(n, i) == t_coeff_stirling(n, i)
-            assert b_coeff(n, i) == b_coeff_stirling(n, i)
+            assert psi_coeff(psi_ak1, n, i) == t_coeff_stirling(n, i)
+            assert psi_coeff(psi_ak2, n, i) == b_coeff_stirling(n, i)
 
 
 def test_cold_coeff_rows_recursion_depth_is_bounded():
@@ -67,7 +63,7 @@ def test_cold_coeff_rows_recursion_depth_is_bounded():
     intertwine._ROWS.clear()
     sys.setrecursionlimit(depth + 20)
     try:
-        t, b = t_coeff(60, 60), b_coeff(60, 60)
+        t, b = psi_coeff(psi_ak1, 60, 60), psi_coeff(psi_ak2, 60, 60)
     finally:
         sys.setrecursionlimit(limit)
     assert t == b == math.factorial(60)
@@ -104,10 +100,10 @@ def test_genfun_oracles():
     N = 12
     for i in range(1, 7):
         values = t_genfun_oracle(i, N)
-        assert values == [t_coeff(n, i) for n in range(i, N + 1)]
+        assert values == [psi_coeff(psi_ak1, n, i) for n in range(i, N + 1)]
     for k in range(1, 7):
         values = b_genfun_oracle(k, N)
-        assert values == [b_coeff(n, k) for n in range(k, N + 1)]
+        assert values == [psi_coeff(psi_ak2, n, k) for n in range(k, N + 1)]
 
 
 def test_psi_ak1_table():

@@ -228,6 +228,15 @@ def test_exact_div_by_constants():
             assert 0 not in quotient._terms.values()
 
 
+def test_zero_divisor_negative_index_and_zero_exponent_raise():
+    with pytest.raises(ZeroDivisionError):
+        exact_div(x0 + 1, Polynomial.zero())
+    with pytest.raises(ValueError):
+        binom_poly(X, -1)
+    with pytest.raises(ValueError, match="exponents must be >= 1"):
+        Polynomial({((0, 0),): 1})
+
+
 @given(polynomials(), polynomials(), polynomials())
 @settings(max_examples=50, deadline=None)
 def test_ring_axioms(p, q, r):
