@@ -18,7 +18,7 @@ from types import SimpleNamespace
 from . import arith
 from .derivations import is_in_kernel, kravchuk1, weitzenbock
 from .intertwine import apply_psi, psi_ak1, psi_ak2
-from .kravchuk import build_kravchuk, phi_k
+from .kravchuk import on_slice, phi_k
 from .poly import (
     A,
     X,
@@ -114,12 +114,13 @@ def classify(p: Polynomial, expected: Polynomial = None) -> IdentityReport:
 # and phi_K(x_0) = 1: phi_K(sigma(x_n)) is the Taylor series of K_n on a slice.
 
 
-def _slice(check_id: str, n: int, x, a, even_rhs) -> IdentityReport:
-    """K_n on the slice (x, a) versus even_rhs(m) for n = 2m and 0 for odd n."""
+def _slice(check_id: str, n: int, var: int, even_rhs) -> IdentityReport:
+    """K_n on the slice a = 2x, in var (see kravchuk.on_slice), versus
+    even_rhs(m) for n = 2m and 0 for odd n."""
     if n < 2:
         raise ValueError(f"{check_id}: n must be >= 2, got {n}")
     start = time.perf_counter()
-    lhs = build_kravchuk(n).substitute({X: x, A: a})
+    lhs = on_slice(n, var)
     rhs = Polynomial.zero() if n % 2 else even_rhs(n // 2)
     return _report(check_id, n, lhs, rhs, start)
 
@@ -133,14 +134,14 @@ def conjecture1(n: int) -> IdentityReport:
         c = Polynomial.constant((-1) ** m * arith.double_factorial(2 * m - 1))
         return reduce(mul, (a - 2 * j for j in range(m)), c)
 
-    return _slice("conjecture1", n, a / 2, a, rhs)
+    return _slice("conjecture1", n, A, rhs)
 
 
 def conjecture2(n: int) -> IdentityReport:
     """phi_K(sigma(x_n)) = K_n(x, 2x) for D_K2 versus 0 (odd n) or
     (-1)^m C(x,m), n = 2m; the generating function (1-z^2)^x proves it."""
     x = Polynomial.var(X)
-    return _slice("conjecture2", n, x, 2 * x, lambda m: binom_poly(x, m) * (-1) ** m)
+    return _slice("conjecture2", n, X, lambda m: binom_poly(x, m) * (-1) ** m)
 
 
 # -- Weitzenbock kernel elements and conjecture 3 -----------------------

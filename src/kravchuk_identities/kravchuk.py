@@ -1,11 +1,11 @@
-"""Kravchuk polynomials K_n(x, a), the substitution phi_K (x_i -> K_i) and
-the derivative expansions."""
+"""Kravchuk polynomials K_n(x, a), K_n on the slice a = 2x, the substitution
+phi_K (x_i -> K_i) and the derivative expansions."""
 
 from functools import lru_cache
 from math import factorial
 
 from . import derivations
-from .poly import EXPONENT_LIMIT, ExponentOverflow, Polynomial, generators
+from .poly import A, EXPONENT_LIMIT, X, ExponentOverflow, Polynomial, generators
 
 
 # (m, rows of P_{m-1}, rows of P_m) for the highest m built so far.
@@ -42,21 +42,24 @@ def _rows(n: int) -> list:
     return cur
 
 
-def build_kravchuk(n: int) -> Polynomial:
-    """K_n(x,a) = P_n / n!, packed from the integer rows of P_n (see _rows)
-    on every call; Polynomial.from_xa_rows divides out the gcd, so K_n is in
-    canonical form."""
+def _check(n: int) -> None:
+    """Refuse an n with no K_n, or with one whose x^n has no exponent field."""
     if n < 0:
         raise ValueError(f"kravchuk: n must be >= 0, got {n}")
     # x^n is a term, and its exponent would carry into the field of a.
     if n >= EXPONENT_LIMIT:
         raise ExponentOverflow()
+
+
+@lru_cache(maxsize=None)
+def kravchuk(n: int) -> Polynomial:
+    """K_n(x,a) = P_n / n!, packed once per n from the integer rows of P_n
+    (see _rows) for the callers that reuse it (phi_K and the expansions);
+    Polynomial.from_xa_rows divides out the gcd, so K_n is in canonical
+    form."""
+    _check(n)
     return Polynomial.from_xa_rows(_rows(n), factorial(n))
 
-
-# K_n built once per n, for the callers that reuse it (phi_K and the
-# expansions); a caller that reads K_n once calls build_kravchuk.
-kravchuk = lru_cache(maxsize=None)(build_kravchuk)
 
 _clear_kravchuk = kravchuk.cache_clear
 
@@ -69,6 +72,24 @@ def _cache_clear():
 
 
 kravchuk.cache_clear = _cache_clear
+
+
+def on_slice(n: int, var: int) -> Polynomial:
+    """K_n on the slice a = 2x as a polynomial in var: K_n(a/2, a) for var = A
+    and K_n(x, 2x) for var = X.  It is read straight off the rows of
+    P_n = n! K_n (see _rows), with no K_n built or cached: the coefficient of
+    a^k is t_k / (2^n n!) with t_k = sum_{i+j=k} P_n[i][j] 2^(n-i), and at
+    a = 2x that of x^k is 2^k t_k / (2^n n!)."""
+    if var not in (X, A):
+        raise ValueError(f"on_slice: var must be X or A, got {var!r}")
+    _check(n)
+    total = [0] * (n + 1)
+    for i, row in enumerate(_rows(n)):
+        total[i:] = [t + (c << (n - i)) for t, c in zip(total[i:], row)]
+    den = factorial(n) << n
+    if var == X:
+        return Polynomial.from_xa_rows([[t << k] for k, t in enumerate(total)], den)
+    return Polynomial.from_xa_rows([total], den)
 
 
 def phi_k(p: Polynomial) -> Polynomial:

@@ -154,6 +154,13 @@ def kravchuk_binomial_sum(n: int) -> Polynomial:
     return total
 
 
+def kravchuk_on_slice(n: int, x, a) -> Polynomial:
+    """K_n(x, a) at the polynomials (or constants) x and a, expanded by one
+    Polynomial product per term of K_n: the package reads the slice a = 2x
+    off the integer rows of n! K_n instead (kravchuk.on_slice)."""
+    return kravchuk(n).substitute({X: x, A: a})
+
+
 def determinant_bareiss(matrix) -> Polynomial:
     """Fraction-free Bareiss elimination: after step k every entry of the
     trailing block is a (k+2) x (k+2) minor, so the division by the previous

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kravchuk_identities
+from kravchuk_identities import identities
 from kravchuk_identities.cli import ParseError, parse_args, parse_expr, render, run
 from oracles import _make_argparser
 from kravchuk_identities.poly import A, X, ExponentOverflow, Polynomial, render_text, xvar
@@ -444,6 +445,23 @@ def test_cli_exponent_limit(capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error: exponent limit exceeded"), expr
         assert captured.out == "", expr
+
+
+@pytest.mark.parametrize("which", ["1", "2", "3"])
+def test_cli_conjecture_exponent_limit(capsys, monkeypatch, which):
+    # K_n holds x^n (conjecture 3 reaches K_2n through its moments), so a
+    # sweep to --max-n >= 32768 could only end in the exponent-limit error
+    # after every smaller n: it is refused before the first verifier runs.
+    def no_sweep(n):
+        raise AssertionError(f"verifier called at n = {n}")
+
+    for name in ("conjecture1", "conjecture2", "conjecture3"):
+        monkeypatch.setattr(identities, name, no_sweep)
+    for max_n in ("32768", "99999999999999999999999"):
+        assert run(["conjecture", which, "--max-n", max_n]) == 2, max_n
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: exponent limit exceeded"), max_n
+        assert captured.out == "", max_n
 
 
 @pytest.mark.parametrize("kind", ["w", "k1", "k2"])

@@ -1,7 +1,7 @@
 import time
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +51,7 @@ from oracles import (
     conjecture1_double_sum,
     conjecture2_double_sum,
     conjecture3_expanded,
+    kravchuk_on_slice,
     phi_sigma,
 )
 
@@ -197,6 +198,21 @@ def test_conjectures_1_2_proved_values():
         else:
             assert c1 == binom_poly(a / 2, m) * (-1) ** m
             assert c2 == binom_poly(x, m) * (-1) ** m
+
+
+def test_conjectures_1_2_match_the_substituted_k_n():
+    # The slice read off the rows of n! K_n equals K_n(a/2, a) and K_n(x, 2x)
+    # by substitution, and is canonical: a positive denominator sharing no
+    # factor with the numerators, none of which is zero.
+    for n in range(2, 61):
+        for image, slice_ in (
+            (conjecture1(n).image, (a / 2, a)),
+            (conjecture2(n).image, (x, 2 * x)),
+        ):
+            assert image == kravchuk_on_slice(n, *slice_), n
+            assert image._den > 0, n
+            assert gcd(image._den, *image._terms.values()) == 1, n
+            assert all(image._terms.values()), n
 
 
 def test_conjectures_1_2_cache_no_k_n():

@@ -6,7 +6,7 @@ from math import factorial, gcd
 import pytest
 
 from kravchuk_identities import kravchuk as kravchuk_module
-from kravchuk_identities.kravchuk import dKda_expansion, dKdx_expansion, kravchuk
+from kravchuk_identities.kravchuk import dKda_expansion, dKdx_expansion, kravchuk, on_slice
 from kravchuk_identities.poly import (
     A,
     EXPONENT_LIMIT,
@@ -94,6 +94,30 @@ def test_exponent_limit(monkeypatch):
     monkeypatch.setattr(kravchuk_module, "_rows", no_rows)
     with pytest.raises(ExponentOverflow):
         kravchuk(EXPONENT_LIMIT)
+
+
+def test_on_slice_exponent_limit(monkeypatch):
+    # x^n (or a^n) is a term of K_n on the slice, so n = EXPONENT_LIMIT is
+    # refused before any row is stepped.
+    def no_rows(n):
+        raise AssertionError(f"_rows({n}) called")
+
+    monkeypatch.setattr(kravchuk_module, "_rows", no_rows)
+    for var in (X, A):
+        with pytest.raises(ExponentOverflow):
+            on_slice(EXPONENT_LIMIT, var)
+
+
+def test_on_slice_low_orders():
+    # K_2 = 2x^2 - 2ax + (a^2 - a)/2: K_2(x, 2x) = -x and K_2(a/2, a) = -a/2.
+    assert on_slice(0, X) == on_slice(0, A) == Polynomial.one()
+    assert on_slice(1, X).is_zero and on_slice(1, A).is_zero
+    assert on_slice(2, X) == -x
+    assert on_slice(2, A) == -a / 2
+    with pytest.raises(ValueError):
+        on_slice(-1, X)
+    with pytest.raises(ValueError):
+        on_slice(2, xvar(1))
 
 
 def test_cache_clear_clears_the_rows():
