@@ -1,10 +1,9 @@
 """Exact integer/rational combinatorics: binomials, Stirling numbers, S^(k).
 
-Coefficients everywhere are Python ints (arbitrary precision) and
-fractions.Fraction (always reduced, positive denominator).
+Coefficients are Python ints (arbitrary precision); S^(k) is a
+fractions.Fraction, imported by s_upper alone, which only the tests use.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -46,11 +45,13 @@ def stirling_second(n: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def s_upper(k: int, n: int) -> Fraction:
-    """S^(k)(n) = sum_{m=k}^{n} C(n-1, m-1) * 2^m k!/m! * s(m, k).
+def s_upper(k: int, n: int):
+    """S^(k)(n) = sum_{m=k}^{n} C(n-1, m-1) * 2^m k!/m! * s(m, k), a Fraction.
 
     These are the coefficients of the expansion of (ln((1+z)/(1-z)))^k.
     """
+    from fractions import Fraction
+
     if not 1 <= k <= n:
         raise ValueError(f"s_upper: need 1 <= k <= n, got k={k}, n={n}")
     total = Fraction(0)

@@ -11,11 +11,18 @@ it, and no ring size is chosen.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
-from .poly import Polynomial, exact_div, generators, xvar
+from .poly import (
+    Polynomial,
+    constant_ratio,
+    content,
+    exact_div,
+    generators,
+    least_exponent,
+    xvar,
+)
 
 
 @lru_cache(maxsize=None)
@@ -77,24 +84,21 @@ def dixmier_sigma(D, i: int) -> Sigma:
     localized at x0."""
     x0 = Polynomial.var(xvar(0))
     dx1 = D(1)
-    c = dx1.coeff(((xvar(0), 1),))
-    if not c or dx1 != x0 * c or not D(0).is_zero:
+    # -1/c, the constant ratio of -x0 to D(x1), if D(x1) has one.
+    inverse = None if dx1.is_zero else constant_ratio(-x0, dx1)
+    if inverse is None or not D(0).is_zero:
         raise ValueError(f"sigma needs D(x0) = 0 and D(x1) = c*x0, c != 0 ({D.__name__})")
+    y = Polynomial.var(xvar(1)) * inverse  # lambda x0
     iterates = list(_iterates(D, Polynomial.var(xvar(i))))
     # Every term over the common denominator x0^top; the x0 factors that the
     # whole numerator shares with it cancel once, at the end.
     top = len(iterates) - 1
-
-    def weight(k):
-        """(-x1/c)^k x0^(top-k) / k! as one term."""
-        mono = tuple((xvar(v), e) for v, e in ((0, top - k), (1, k)) if e)
-        return Polynomial({mono: (-1 / c) ** k / factorial(k)})
-
-    numerator = Polynomial.sum(dk * weight(k) for k, dk in enumerate(iterates))
-    shared = min((dict(m).get(xvar(0), 0) for m, _ in numerator.terms()), default=top)
-    shared = min(shared, top)
+    numerator = Polynomial.sum(
+        dk * (y**k * x0 ** (top - k) / factorial(k)) for k, dk in enumerate(iterates)
+    )
+    shared = least_exponent(numerator, xvar(0), top)
     if shared:
-        numerator = exact_div(numerator, Polynomial({((xvar(0), shared),): 1}))
+        numerator = exact_div(numerator, x0**shared)
     return Sigma(numerator, top - shared)
 
 
@@ -110,8 +114,9 @@ def cayley_k1(n: int) -> Polynomial:
 
 
 class CayleyK2(namedtuple("CayleyK2", "polynomial scale power")):
-    """Primitive integer numerator of sigma(x_n) for D_K2, with the rational
-    scale it was divided by: sigma(x_n) * x_0^power = scale * polynomial."""
+    """Primitive integer numerator of sigma(x_n) for D_K2, with the scale it
+    was divided by, a constant Polynomial: sigma(x_n) * x_0^power = scale *
+    polynomial."""
 
     __slots__ = ()
 
@@ -119,17 +124,9 @@ class CayleyK2(namedtuple("CayleyK2", "polynomial scale power")):
 def cayley_k2(n: int) -> CayleyK2:
     if n < 2:
         raise ValueError(f"cayley_k2: n must be >= 2, got {n}")
-    sigma = dixmier_sigma(kravchuk2, n)
-    num, power = sigma.numerator, sigma.power
-    coeffs = [c for _, c in num.terms()]
-    content = Fraction(
-        gcd(*(c.numerator for c in coeffs)),
-        lcm(*(c.denominator for c in coeffs)),
-    )
-    primitive = num / content
+    num, power = dixmier_sigma(kravchuk2, n)
     # Sign convention per the published sigma tables: the x_1 * x_0^power
     # coefficient of the primitive part is positive.
     anchor = tuple((xvar(v), e) for v, e in ((0, power), (1, 1)) if e)
-    if primitive.coeff(anchor) < 0:
-        primitive, content = -primitive, -content
-    return CayleyK2(primitive, content, power)
+    scale = content(num, anchor)
+    return CayleyK2(exact_div(num, scale), scale, power)

@@ -9,7 +9,6 @@ plus a constant ratio whenever the two sides are proportional.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, prod
 from operator import mul
@@ -24,6 +23,7 @@ from .poly import (
     X,
     Polynomial,
     binom_poly,
+    constant_ratio,
     determinant,
     exact_div,
     render_text,
@@ -42,7 +42,7 @@ REFUTED = "Refuted"
 class IdentityReport(SimpleNamespace):
     """One verifier result, built by keyword: check_id (str), n (int or
     None), image (Polynomial), classification (str), verdict (str or None),
-    expected (Polynomial or None), ratio (Fraction or None), runtime_ms
+    expected (Polynomial or None), ratio (constant Polynomial or None), runtime_ms
     (float) and notes (dict)."""
 
     def to_record(self) -> dict:
@@ -67,15 +67,12 @@ def _classification(image: Polynomial) -> str:
     return ONLY_A if A in variables else CONSTANT
 
 
-def proportional(lhs: Polynomial, rhs: Polynomial) -> Fraction | None:
-    """Constant c with lhs = c * rhs, or None."""
+def proportional(lhs: Polynomial, rhs: Polynomial) -> Polynomial | None:
+    """Constant c with lhs = c * rhs, as a constant Polynomial, or None; 1
+    when both are zero."""
     if rhs.is_zero:
-        return Fraction(1) if lhs.is_zero else None
-    if lhs.is_zero:
-        return Fraction(0)
-    mono, c_rhs = next(iter(rhs.terms()))
-    c = lhs.coeff(mono) / c_rhs
-    return c if lhs == rhs * c else None
+        return Polynomial.one() if lhs.is_zero else None
+    return constant_ratio(lhs, rhs)
 
 
 def _report(

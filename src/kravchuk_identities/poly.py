@@ -19,7 +19,10 @@ exponent that reaches EXPONENT_LIMIT raises ExponentOverflow.
 A polynomial is stored as {packed monomial: nonzero int numerator} over one
 positive int denominator, with gcd(denominator, *numerators) == 1 and
 denominator 1 for zero.  The form is canonical, so equality and hashing are
-structural, and products and sums run on ints.
+structural, and products and sums run on ints.  A rational scalar is a value
+with an int numerator and a positive int denominator, as an int and a
+fractions.Fraction both have, so no operation imports fractions; only the
+accessors terms() and coeff() build Fractions.
 
 Other modules rely on this layout through one contract alone: var_key(code)
 is the key of a variable; keys add, so e * var_key(v) + e2 * var_key(v2) is
@@ -30,8 +33,8 @@ of EXPONENT_LIMIT or more; and Polynomial.sum takes a single term as a
 
 from __future__ import annotations
 
+import sys
 from bisect import insort
-from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd, lcm
 from operator import mul, or_
@@ -164,6 +167,16 @@ def _degree(m: int) -> int:
     return sum(e for _, e in _unpack(m))
 
 
+def _rational(value):
+    """(numerator, denominator) of a rational scalar, or None for any other
+    value (a float, a str, a Polynomial)."""
+    num = getattr(value, "numerator", None)
+    den = getattr(value, "denominator", None)
+    if num.__class__ is int and den.__class__ is int and den > 0:
+        return num, den
+    return None
+
+
 # x and a take the first two slots, so a polynomial in x and a alone has
 # keys below 2^32.
 _slot(X)
@@ -174,7 +187,7 @@ class Polynomial:
     __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: dict):
-        """From {tuple monomial: int | Fraction}, over the lcm of the
+        """From {tuple monomial: rational scalar}, over the lcm of the
         denominators."""
         den = lcm(*(c.denominator for c in terms.values()))
         self._terms = {
@@ -206,7 +219,12 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        return cls({(): Fraction(c)})
+        """The constant polynomial of a rational scalar c."""
+        r = _rational(c)
+        if r is None:
+            raise TypeError(f"not a rational scalar: {c!r}")
+        num, den = r
+        return cls._make({0: num} if num else {}, den)
 
     @classmethod
     def var(cls, code: int) -> "Polynomial":
@@ -229,7 +247,7 @@ class Polynomial:
 
     @staticmethod
     def sum(parts) -> "Polynomial":
-        """The sum of polynomials, int/Fraction constants and single terms
+        """The sum of polynomials, rational scalars and single terms
         given as (packed key, int numerator, positive int denominator)
         triples, accumulated into one dict of numerators over the lcm of the
         denominators seen so far; parts is consumed as a stream."""
@@ -269,9 +287,14 @@ class Polynomial:
 
     def terms(self):
         """(tuple monomial, Fraction coefficient) pairs in insertion order."""
+        from fractions import Fraction
+
         return ((_unpack(m), Fraction(c, self._den)) for m, c in self._terms.items())
 
-    def coeff(self, mono: Monomial) -> Fraction:
+    def coeff(self, mono: Monomial):
+        """The Fraction coefficient of the tuple monomial mono."""
+        from fractions import Fraction
+
         return Fraction(self._terms.get(_pack(mono), 0), self._den)
 
     def degree(self) -> int:
@@ -288,7 +311,7 @@ class Polynomial:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (Polynomial, int, Fraction)):
+        if not isinstance(other, Polynomial) and _rational(other) is None:
             return NotImplemented
         return Polynomial.sum((self, other))
 
@@ -304,17 +327,17 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Polynomial.zero()
-            num = other.numerator
-            terms = {m: c * num for m, c in self._terms.items()}
-            return Polynomial._make(terms, self._den * other.denominator)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            r = _rational(other)
+            if r is None:
+                return NotImplemented
+            return self._scale(*r)
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
@@ -340,9 +363,20 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        return NotImplemented
+        r = _rational(other)
+        if r is None:
+            return NotImplemented
+        num, den = r
+        if not num:
+            raise ZeroDivisionError("polynomial division by zero")
+        return self._scale(-den, -num) if num < 0 else self._scale(den, num)
+
+    def _scale(self, num: int, den: int) -> "Polynomial":
+        """self * num / den, for den > 0."""
+        if not num:
+            return Polynomial.zero()
+        terms = {m: c * num for m, c in self._terms.items()}
+        return Polynomial._make(terms, self._den * den)
 
     def __pow__(self, n: int):
         """Square and multiply, starting from the lowest set bit of n: no
@@ -363,14 +397,27 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash((frozenset(self._terms.items()), self._den))
+        """A constant hashes as the rational it equals, so that a constant
+        and that int or Fraction are one set member or dict key.  Python
+        hashes num/den in lowest terms as |num| times the inverse of den
+        modulo the hash modulus, signed, and as inf when the modulus
+        divides den."""
+        terms, den = self._terms, self._den
+        if len(terms) > 1 or terms and 0 not in terms:
+            return hash((frozenset(terms.items()), den))
+        num = terms.get(0, 0)
+        try:
+            h = hash(hash(abs(num)) * pow(den, -1, sys.hash_info.modulus))
+        except ValueError:
+            h = sys.hash_info.inf
+        h = h if num >= 0 else -h
+        return -2 if h == -1 else h
 
     # -- calculus & substitution --------------------------------------
 
@@ -443,11 +490,13 @@ class Polynomial:
 
 
 def _coerce(value) -> Polynomial:
+    """value as a Polynomial: itself, or the constant of a rational scalar;
+    NotImplemented for any other value."""
     if isinstance(value, Polynomial):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Polynomial.constant(value)
-    return NotImplemented
+    if _rational(value) is None:
+        return NotImplemented
+    return Polynomial.constant(value)
 
 
 # -- canonical ordering and rendering ---------------------------------
@@ -563,6 +612,48 @@ def binom_poly(arg, i: int) -> Polynomial:
     for j in range(i):
         result = result * (base - j)
     return result / factorial(i)
+
+
+# -- constants read off polynomials ------------------------------------
+
+
+def constant_ratio(p: Polynomial, q: Polynomial) -> Polynomial | None:
+    """The constant c with p = c q, as a constant Polynomial, or None if
+    there is none; q must be nonzero.  It exists when p and q have the same
+    monomials and proportional numerators, checked by cross-multiplying."""
+    if q.is_zero:
+        raise ZeroDivisionError("constant_ratio by zero polynomial")
+    if p.is_zero:
+        return Polynomial.zero()
+    pt, qt = p._terms, q._terms
+    if pt.keys() != qt.keys():
+        return None
+    m = next(iter(qt))
+    a, b = pt[m], qt[m]
+    if any(c * b != a * qt[k] for k, c in pt.items()):
+        return None
+    if b < 0:
+        a, b = -a, -b
+    return Polynomial._make({0: a * q._den}, b * p._den)
+
+
+def content(p: Polynomial, anchor: Monomial) -> Polynomial:
+    """The rational c, as a constant Polynomial, that makes p / c an integer
+    polynomial whose coefficients have gcd 1 and whose coefficient at the
+    tuple monomial anchor is not negative.  The numerators of p are prime to
+    its denominator, so c is their gcd over it."""
+    g = gcd(*p._terms.values())
+    if p._terms.get(_pack(anchor), 0) < 0:
+        g = -g
+    return Polynomial._make({0: g} if g else {}, p._den)
+
+
+def least_exponent(p: Polynomial, code: int, limit: int) -> int:
+    """The largest e <= limit such that the variable code to the power e
+    divides p: the least exponent of code over the terms of p, capped at
+    limit, and limit itself for the zero polynomial."""
+    shift = _slot(code) * FIELD_BITS
+    return min([limit, *((m >> shift) & _FIELD_MASK for m in p._terms)])
 
 
 # -- exact division and determinants -----------------------------------

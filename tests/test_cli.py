@@ -851,27 +851,49 @@ def test_cli_help_lists_every_command(capsys):
 # Runs in a fresh interpreter: these modules are imported once per process.
 _COLD_RUN = """
 import contextlib, io, json, sys
+argvs = json.loads(sys.argv[1])
 before = set(sys.modules)
 import kravchuk_identities.cli as cli
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [
-        cli.run(argv)
-        for argv in (
-            ["poly", "3"],
-            ["conjecture", "1", "--max-n", "2"],
-            ["conjecture", "3", "--max-n", "2", "--format", "json"],
-            ["derivation", "apply", "--kind", "k2", "x3*x1 - x2^2"],
-            ["discriminant-demo"],
-        )
-    ]
-print(json.dumps({"codes": codes, "added": sorted(set(sys.modules) - before)}))
+    codes = [cli.run(argv) for argv in argvs]
+print(json.dumps({"codes": codes, "added": sorted(set(sys.modules) - before),
+                  "commands": list(cli._COMMANDS)}))
 """
+
+_EXPR = "x1^2 - 2*x0*x2"  # phi_K of it is a
+# (argv, exit code): every command of the table, each output format, and
+# identity verify with a verified, a refuted and a proportional --expect.
+_COLD_ARGVS = [
+    (["poly", "3"], 0),
+    (["conjecture", "1", "--max-n", "2"], 1),  # refuted
+    (["conjecture", "3", "--max-n", "2", "--format", "json"], 1),  # refuted
+    (["derivation", "apply", "--kind", "k2", "x3*x1 - x2^2"], 0),
+    (["discriminant-demo"], 0),
+    (["poly", "3", "--format", "latex"], 0),
+    (["poly", "3", "--format", "json"], 0),
+    (["derive", "3", "--op", "dx"], 0),
+    (["derive", "3", "--op", "da"], 0),
+    (["kernel", "check", "--derivation", "w", "x0*x2 - x1^2"], 0),
+    (["intertwine", "apply", "--map", "ak1", _EXPR], 0),
+    *((["cayley", "4", "--derivation", d], 0) for d in ("k1", "k2")),
+    *((["sigma", "4", "--derivation", d], 0) for d in ("k1", "k2")),
+    (["identity", "verify", _EXPR, "--expect", "a"], 0),
+    (["identity", "verify", _EXPR, "--expect", "x"], 1),
+    (["identity", "verify", _EXPR, "--expect", "3*a"], 1),  # ratio 1/3
+    *(
+        (["conjecture", which, "--max-n", "4" if which != "3" else "2", "--format", fmt],
+         0 if which == "2" else 1)
+        for which in ("1", "2", "3")
+        for fmt in ("text", "latex", "json")
+    ),
+    (["--help"], 0),
+]
 
 
 def test_cli_cold_run_imports_no_argparse_gettext_or_locale():
     src = Path(kravchuk_identities.__file__).parent.parent
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_RUN],
+        [sys.executable, "-c", _COLD_RUN, json.dumps([argv for argv, _ in _COLD_ARGVS])],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -879,8 +901,12 @@ def test_cli_cold_run_imports_no_argparse_gettext_or_locale():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 1, 1, 0, 0]  # conjectures 1 and 3 are refuted
+    assert result["codes"] == [code for _, code in _COLD_ARGVS]
+    assert {argv[0] for argv, _ in _COLD_ARGVS} == {*result["commands"], "--help"}
     assert not {"argparse", "gettext", "locale"} & set(result["added"])
+    # Coefficients are ints on every command path: fractions, and the
+    # decimal and numbers modules it imports, stay unloaded.
+    assert not {"fractions", "decimal", "numbers"} & set(result["added"])
     # The runtime is standard library only.
     assert {name.partition(".")[0] for name in result["added"]} <= set(
         sys.stdlib_module_names

@@ -78,6 +78,10 @@ def test_proportional():
     assert proportional(Polynomial.zero(), a) == 0
     assert proportional(a, a + 1) is None
     assert proportional(Polynomial.zero(), Polynomial.zero()) == 1
+    # the same monomials with numerators that are not proportional
+    assert proportional(a + 2, a + 1) is None
+    ratio = proportional(-a / 3 + x, 2 * a - 6 * x)
+    assert ratio == Fraction(-1, 6) and str(ratio) == "-1/6"
 
 
 def test_verdict_is_verified_exactly_when_ratio_is_one():

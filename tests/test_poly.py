@@ -141,6 +141,37 @@ def test_mul():
     assert (x1**2) * (2 * x2 * x0) == 2 * x0 * x1**2 * x2
 
 
+@pytest.mark.parametrize("other", [1.5, "s", None], ids=["float", "str", "None"])
+def test_non_rational_operand_is_a_type_error_naming_it(other):
+    # Each operator returns NotImplemented for a scalar that is not
+    # rational, so Python's own TypeError names the two operand types.
+    for sym, op in (("-", operator.sub), ("+", operator.add), ("*", operator.mul)):
+        for left, right in ((other, x1), (x1, other)):
+            with pytest.raises(TypeError) as exc:
+                op(left, right)
+            assert "NotImplementedType" not in str(exc.value)
+            assert "Polynomial" in str(exc.value)
+    with pytest.raises(TypeError, match=f"for -: '{type(other).__name__}' and 'Polynomial'"):
+        other - x1
+    with pytest.raises(TypeError, match="not a rational scalar"):
+        Polynomial.constant(other)
+
+
+def test_constant_hashes_as_the_rational_it_equals():
+    modulus = sys.hash_info.modulus  # a denominator it divides hashes as inf
+    for c in (0, 1, -1, Fraction(1, 3), Fraction(-2, 7), Fraction(1, modulus), Fraction(-1, modulus)):
+        p = Polynomial.constant(c)
+        assert p == c and c == p
+        assert hash(p) == hash(c)
+        assert len({p, c}) == 1
+        assert {c: "c"}[p] == "c"
+    assert len({Polynomial.one(), 1}) == 1
+    assert len({Polynomial.zero(), 0, Fraction(0)}) == 1
+    p = x1**2 - x0 / 3
+    assert hash(p) == hash(x1 * x1 - Fraction(1, 3) * x0)
+    assert len({p, x1 * x1 - Fraction(1, 3) * x0, p + 1}) == 2
+
+
 def test_pow():
     p = x1**2 - 2 * x2 * x0 + Fraction(1, 3)
     assert p**0 == 1 and Polynomial.zero() ** 0 == 1
