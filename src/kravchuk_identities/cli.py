@@ -16,9 +16,6 @@ MAX_NESTING deep. Exit codes: 0 all verified, 1 any refuted, 2 usage,
 parse or output error.
 """
 
-from __future__ import annotations
-
-import json
 import os
 import re
 import sys
@@ -206,6 +203,8 @@ def render(p: Polynomial, fmt: str = "text") -> str:
     if fmt == "latex":
         return render_latex(p)
     if fmt == "json":
+        import json  # only --format json loads it
+
         return json.dumps({"terms": to_json_terms(p)})
     raise ValueError(f"unknown format: {fmt!r}")
 
@@ -413,6 +412,8 @@ def parse_args(argv):
 
 def _report_lines(reports, fmt: str) -> str:
     if fmt == "json":
+        import json  # only --format json loads it
+
         return json.dumps([r.to_record() for r in reports], indent=2)
     lines = []
     for r in reports:

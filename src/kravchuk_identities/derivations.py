@@ -8,11 +8,9 @@ the x_j with j < n, so the images of the generators an input uses fix D on
 it, and no ring size is chosen.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
 from functools import lru_cache
 from math import factorial, lcm
+from operator import itemgetter
 
 from .poly import (
     Polynomial,
@@ -66,11 +64,28 @@ def is_in_kernel(D, p: Polynomial) -> bool:
     return apply(D, p).is_zero
 
 
-class Sigma(namedtuple("Sigma", "numerator power")):
+class _Fields(tuple):
+    """A tuple whose items are also read by name, as a namedtuple's are,
+    without the source that collections.namedtuple compiles at import."""
+
+    __slots__ = ()
+
+    def __getnewargs__(self):
+        """The items, which copy and pickle pass to __new__."""
+        return tuple(self)
+
+
+class Sigma(_Fields):
     """sigma(x_i) = numerator / x0^power; when power > 0, x0 does not
     divide the numerator."""
 
     __slots__ = ()
+
+    def __new__(cls, numerator: Polynomial, power: int):
+        return tuple.__new__(cls, (numerator, power))
+
+    numerator = property(itemgetter(0))
+    power = property(itemgetter(1))
 
     def __repr__(self):
         if self.power == 0:
@@ -113,12 +128,19 @@ def cayley_k1(n: int) -> Polynomial:
     return cleared * (n * factorial(n - 2))
 
 
-class CayleyK2(namedtuple("CayleyK2", "polynomial scale power")):
+class CayleyK2(_Fields):
     """Primitive integer numerator of sigma(x_n) for D_K2, with the scale it
     was divided by, a constant Polynomial: sigma(x_n) * x_0^power = scale *
     polynomial."""
 
     __slots__ = ()
+
+    def __new__(cls, polynomial: Polynomial, scale: Polynomial, power: int):
+        return tuple.__new__(cls, (polynomial, scale, power))
+
+    polynomial = property(itemgetter(0))
+    scale = property(itemgetter(1))
+    power = property(itemgetter(2))
 
 
 def cayley_k2(n: int) -> CayleyK2:

@@ -6,8 +6,6 @@ exactly and returns Verified or Refuted with the canonical polynomials,
 plus a constant ratio whenever the two sides are proportional.
 """
 
-from __future__ import annotations
-
 import time
 from functools import lru_cache, reduce
 from math import factorial, prod

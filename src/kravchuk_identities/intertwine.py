@@ -7,8 +7,6 @@ of x_i is T(n,i) or B(n,i), and extends to Q[x0, x1, ...] by substitution.
 Only the coefficient rows are kept; each call builds its linear form afresh.
 """
 
-from __future__ import annotations
-
 from .poly import Polynomial, generators
 
 

@@ -31,8 +31,6 @@ of EXPONENT_LIMIT or more; and Polynomial.sum takes a single term as a
 (key, numerator, denominator) triple.
 """
 
-from __future__ import annotations
-
 import sys
 from bisect import insort
 from functools import reduce
@@ -112,7 +110,7 @@ def xvar(i: int) -> int:
     return i
 
 
-def generators(p: Polynomial) -> set:
+def generators(p: "Polynomial") -> set:
     """The codes of the generators in p.  The derivations, psi and phi_K
     are each fixed by their images of x0, x1, ...; x and a have none, so
     either one in p is an error."""
@@ -177,6 +175,15 @@ def _rational(value):
     return None
 
 
+def _scalar(value) -> tuple:
+    """(numerator, denominator) of a rational scalar; TypeError for any
+    other value."""
+    r = _rational(value)
+    if r is None:
+        raise TypeError(f"not a rational scalar: {value!r}")
+    return r
+
+
 # x and a take the first two slots, so a polynomial in x and a alone has
 # keys below 2^32.
 _slot(X)
@@ -189,11 +196,9 @@ class Polynomial:
     def __init__(self, terms: dict):
         """From {tuple monomial: rational scalar}, over the lcm of the
         denominators."""
-        den = lcm(*(c.denominator for c in terms.values()))
-        self._terms = {
-            _pack(m): c.numerator * (den // c.denominator) for m, c in terms.items() if c
-        }
-        self._den = den if self._terms else 1
+        scalars = {m: _scalar(c) for m, c in terms.items()}
+        p = Polynomial.sum((_pack(m), num, den) for m, (num, den) in scalars.items() if num)
+        self._terms, self._den = p._terms, p._den
 
     # -- constructors -------------------------------------------------
 
@@ -220,10 +225,7 @@ class Polynomial:
     @classmethod
     def constant(cls, c) -> "Polynomial":
         """The constant polynomial of a rational scalar c."""
-        r = _rational(c)
-        if r is None:
-            raise TypeError(f"not a rational scalar: {c!r}")
-        num, den = r
+        num, den = _scalar(c)
         return cls._make({0: num} if num else {}, den)
 
     @classmethod
@@ -260,7 +262,7 @@ class Polynomial:
                     continue
                 terms = None
             else:
-                part = _coerce(part)
+                part = _as_polynomial(part)
                 terms, d = part._terms, part._den
             if den % d:
                 scale = lcm(den, d) // den
@@ -431,7 +433,7 @@ class Polynomial:
         Every variable occurring in self must be bound; variables appearing
         only in the images pass through untouched.
         """
-        images = {v: _coerce(p) for v, p in bindings.items()}
+        images = {v: _as_polynomial(p) for v, p in bindings.items()}
         missing = self.variables() - set(images)
         if missing:
             names = ", ".join(var_name(v) for v in sorted(missing))
@@ -489,9 +491,16 @@ class Polynomial:
         return render_text(self)
 
 
-def _coerce(value) -> Polynomial:
+def _as_polynomial(value) -> Polynomial:
     """value as a Polynomial: itself, or the constant of a rational scalar;
-    NotImplemented for any other value."""
+    TypeError for any other value."""
+    return value if isinstance(value, Polynomial) else Polynomial.constant(value)
+
+
+def _coerce(value) -> Polynomial:
+    """value as a Polynomial for a binary operator: itself, or the constant
+    of a rational scalar; NotImplemented for any other value, so that Python
+    tries the other operand."""
     if isinstance(value, Polynomial):
         return value
     if _rational(value) is None:
@@ -716,7 +725,7 @@ def determinant(matrix) -> Polynomial:
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise ValueError("determinant: matrix must be square and non-empty")
-    rows = [[_coerce(e) for e in row] for row in matrix]
+    rows = [[_as_polynomial(e) for e in row] for row in matrix]
     minors = {(): Polynomial.one()}
 
     def minor(remaining: tuple) -> Polynomial:

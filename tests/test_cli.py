@@ -566,6 +566,17 @@ def test_readme_examples_match_golden(capsys, tmp_path):
             assert records == g["out_records"]
 
 
+def test_sigma_and_cayley_match_golden(capsys):
+    # sigma and cayley print the record classes of derivations; their
+    # output for k1 and k2 at n = 2, 3, 6, 9 stays byte for byte as recorded
+    # when those classes were namedtuples.
+    golden = json.loads((TESTS / "sigma_cayley_golden.json").read_text())
+    assert len(golden) == 16
+    for g in golden:
+        assert run(g["argv"]) == g["exit"], g["argv"]
+        assert capsys.readouterr().out == g["stdout"], g["argv"]
+
+
 def _run_module(args, **kwargs):
     """`python -m kravchuk_identities.cli args` on this checkout's package,
     with stdout block-buffered as it is by default."""
@@ -911,7 +922,61 @@ def test_cli_cold_run_imports_no_argparse_gettext_or_locale():
     assert {name.partition(".")[0] for name in result["added"]} <= set(
         sys.stdlib_module_names
     ) | {"kravchuk_identities"}
-    # The record classes are namedtuples and a SimpleNamespace, not
+    # The record classes are tuple subclasses and a SimpleNamespace, not
     # dataclasses, which import inspect.
     assert not {"dataclasses", "inspect"} & set(result["added"])
 
+
+# The standard-library modules that the package's sources import.  In an
+# interpreter whose site has not loaded them already, bisect and math come
+# with none of the others, so a bare import re is not the baseline.
+_STDLIB_IMPORTS = "bisect, functools, itertools, math, operator, os, re, sys, time, types"
+
+# Runs in a fresh interpreter: the CLI's import adds only the package's own
+# modules to those, and json comes only with --format json.
+_IMPORT_SURFACE = """
+import io, sys
+import {stdlib}
+stdlib = set(sys.modules)
+import kravchuk_identities.cli as cli
+added = sorted(set(sys.modules) - stdlib)
+sys.stdout = io.StringIO()
+codes = [cli.run(argv) for argv in {text_argvs!r}]
+json_after_text = "json" in sys.modules
+codes.append(cli.run({json_argv!r}))
+json_after_json = "json" in sys.modules
+sys.stdout = sys.__stdout__
+import json
+print(json.dumps({{"added": added, "codes": codes, "json_after_text": json_after_text,
+                  "json_after_json": json_after_json}}))
+"""
+
+
+@pytest.mark.parametrize(
+    "json_argv, json_code",
+    [
+        (["poly", "3", "--format", "json"], 0),
+        (["conjecture", "3", "--max-n", "2", "--format", "json"], 1),  # refuted
+    ],
+    ids=["render", "report"],
+)
+def test_cli_import_loads_only_the_package_and_json_only_for_json_output(json_argv, json_code):
+    text = [(argv, code) for argv, code in _COLD_ARGVS if "json" not in argv]
+    script = _IMPORT_SURFACE.format(
+        stdlib=_STDLIB_IMPORTS, text_argvs=[argv for argv, _ in text], json_argv=json_argv
+    )
+    src = Path(kravchuk_identities.__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert "kravchuk_identities.cli" in result["added"]
+    assert {name.partition(".")[0] for name in result["added"]} == {"kravchuk_identities"}
+    assert result["codes"] == [code for _, code in text] + [json_code]
+    assert not result["json_after_text"]
+    assert result["json_after_json"]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kravchuk_identities.derivations import (
+    CayleyK2,
     Sigma,
     apply,
     cayley_k1,
@@ -160,6 +163,26 @@ def test_dixmier_sigma_matches_kravchuk_slice_oracle(D):
     for n in range(13):
         sigma = dixmier_sigma(D, n)
         assert sigma.numerator * x0 ** (n - sigma.power) == sigma_from_kravchuk_slice(D, n)
+
+
+def test_sigma_and_cayley_k2_are_tuples_with_named_fields():
+    num, power = sigma = dixmier_sigma(kravchuk1, 2)
+    assert (sigma.numerator, sigma.power) == (num, power) == (x2 * x0 - x1**2 / 2, 1)
+    assert sigma == Sigma(num, power) == (num, power)
+    assert isinstance(sigma, tuple) and len(sigma) == 2
+    assert dixmier_sigma(kravchuk1, 0) == Sigma(x0, 0) == (x0, 0)
+    assert hash(Sigma(x0, 0)) == hash((x0, 0))
+    polynomial, scale, power = c = cayley_k2(2)
+    assert (c.polynomial, c.scale, c.power) == (polynomial, scale, power)
+    assert c == CayleyK2(polynomial, scale, power) == (polynomial, scale, power)
+    assert c == (x1 * x0 - x1**2 + 2 * x2 * x0, Fraction(1, 2), 1)
+    for record in (sigma, c):
+        for clone in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+            assert type(clone) is type(record) and clone == record
+    with pytest.raises(TypeError):
+        Sigma(x0)
+    with pytest.raises(AttributeError):
+        sigma.power = 2
 
 
 def test_dixmier_sigma_k2_worked_image():

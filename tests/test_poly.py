@@ -157,6 +157,22 @@ def test_non_rational_operand_is_a_type_error_naming_it(other):
         Polynomial.constant(other)
 
 
+# Every entry point that takes rational scalars among its parts rejects
+# any other value as Polynomial.constant does, naming it.
+_NON_RATIONAL_PART = {
+    "constructor": lambda: Polynomial({(): 1.5}),
+    "sum": lambda: Polynomial.sum([x1, 1.5]),
+    "substitute": lambda: x1.substitute({xvar(1): 1.5}),
+    "determinant": lambda: determinant([[1.5]]),
+}
+
+
+@pytest.mark.parametrize("entry", list(_NON_RATIONAL_PART))
+def test_non_rational_part_is_a_type_error_naming_it(entry):
+    with pytest.raises(TypeError, match=r"^not a rational scalar: 1\.5$"):
+        _NON_RATIONAL_PART[entry]()
+
+
 def test_constant_hashes_as_the_rational_it_equals():
     modulus = sys.hash_info.modulus  # a denominator it divides hashes as inf
     for c in (0, 1, -1, Fraction(1, 3), Fraction(-2, 7), Fraction(1, modulus), Fraction(-1, modulus)):
