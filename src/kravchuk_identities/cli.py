@@ -533,9 +533,10 @@ def _run_conjecture(which: int, max_n):
     if max_n < first:
         # An empty sweep would report "all verified" about nothing.
         raise ValueError(f"conjecture {which} needs --max-n >= {first}, got {max_n}")
-    if max_n >= poly.EXPONENT_LIMIT:
-        # K_n holds x^n (conjecture 3 reaches K_2n through its moments), so
-        # such a sweep could only end in this error, after every smaller n.
+    if (2 * max_n if which == 3 else max_n) >= poly.EXPONENT_LIMIT:
+        # K_n holds x^n, and conjecture 3 reaches K_2n through its moments, so
+        # a sweep whose highest K index is at the limit could only end in this
+        # error, after every smaller n.
         raise poly.ExponentOverflow()
     if which == 1:
         return [identities.conjecture1(n) for n in range(2, max_n + 1)]

@@ -13,7 +13,7 @@ from operator import mul
 from types import SimpleNamespace
 
 from . import arith
-from .derivations import is_in_kernel, kravchuk1, weitzenbock
+from .derivations import is_in_kernel, kravchuk1
 from .intertwine import apply_psi, psi_ak1, psi_ak2
 from .kravchuk import on_slice, phi_k
 from .poly import (
@@ -139,34 +139,7 @@ def conjecture2(n: int) -> IdentityReport:
     return _slice("conjecture2", n, X, lambda m: binom_poly(x, m) * (-1) ** m)
 
 
-# -- Weitzenbock kernel elements and conjecture 3 -----------------------
-
-
-def i_element(n: int) -> Polynomial:
-    """I_n = (1/2) sum_{i=0}^{2n} (-1)^i C(2n,i) x_i x_{2n-i}.
-
-    The second index is read as 2n-i (the printed n-i goes negative);
-    membership in ker(weitzenbock) is asserted as the arbiter.
-    """
-    if n < 1:
-        raise ValueError(f"i_element: n must be >= 1, got {n}")
-    total = Polynomial.sum(
-        Polynomial.var(xvar(i)) * Polynomial.var(xvar(2 * n - i))
-        * ((-1) ** i * arith.binomial(2 * n, i))
-        for i in range(2 * n + 1)
-    ) / 2
-    if not is_in_kernel(weitzenbock, total):
-        raise RuntimeError(f"I_{n} failed the Weitzenbock kernel post-check")
-    return total
-
-
-def hankel(entries) -> list:
-    """The Hankel matrix [[e_(i+j)]] on 2n+1 entries e_0..e_2n, of size
-    (n+1) x (n+1); the paper's H_n is hankel([x_0, ..., x_2n])."""
-    if len(entries) % 2 == 0:
-        raise ValueError(f"hankel: needs an odd number of entries, got {len(entries)}")
-    n = len(entries) // 2
-    return [[entries[i + j] for j in range(n + 1)] for i in range(n + 1)]
+# -- the discriminant chain and conjecture 3 ----------------------------
 
 
 def discriminant_matrix():
@@ -307,7 +280,8 @@ moment.cache_clear = _table.cache_clear
 
 
 def conjecture3(n: int) -> tuple:
-    """Both parts of the Hankel-determinant conjecture at index n.
+    """Both parts of the Hankel-determinant conjecture at index n, on the
+    (n+1) x (n+1) Hankel matrix H_n = [x_(i+j)].
 
     phi_K o psi is a ring homomorphism, so the image of det H_n is the
     Hankel determinant on the moments phi_K(psi(x_0)), ..., phi_K(psi(x_2n))

@@ -3,9 +3,9 @@ the Kravchuk arguments x, a.
 
 Variables are integer codes: the generator x_i is the code i, and the two
 Kravchuk arguments come after every generator in the variable order
-x0 < x1 < ... < x < a.  The public API speaks in monomials that are sorted
-tuples of (code, exponent) pairs with all exponents >= 1; the empty tuple
-is the unit monomial.
+x0 < x1 < ... < x < a.  content() takes its anchor as a tuple monomial:
+sorted (code, exponent) pairs with all exponents >= 1, the empty tuple for
+the unit monomial.
 
 Inside, a monomial is one packed int: every variable owns a FIELD_BITS-bit
 field, and the exponent of the variable in slot s sits at bit
@@ -21,8 +21,7 @@ positive int denominator, with gcd(denominator, *numerators) == 1 and
 denominator 1 for zero.  The form is canonical, so equality and hashing are
 structural, and products and sums run on ints.  A rational scalar is a value
 with an int numerator and a positive int denominator, as an int and a
-fractions.Fraction both have, so no operation imports fractions; only the
-accessors terms() and coeff() build Fractions.
+Fraction both have, so no operation needs the Fraction type itself.
 
 Other modules rely on this layout through one contract alone: var_key(code)
 is the key of a variable; keys add, so e * var_key(v) + e2 * var_key(v2) is
@@ -175,15 +174,6 @@ def _rational(value):
     return None
 
 
-def _scalar(value) -> tuple:
-    """(numerator, denominator) of a rational scalar; TypeError for any
-    other value."""
-    r = _rational(value)
-    if r is None:
-        raise TypeError(f"not a rational scalar: {value!r}")
-    return r
-
-
 # x and a take the first two slots, so a polynomial in x and a alone has
 # keys below 2^32.
 _slot(X)
@@ -192,13 +182,6 @@ _slot(A)
 
 class Polynomial:
     __slots__ = ("_terms", "_den")
-
-    def __init__(self, terms: dict):
-        """From {tuple monomial: rational scalar}, over the lcm of the
-        denominators."""
-        scalars = {m: _scalar(c) for m, c in terms.items()}
-        p = Polynomial.sum((_pack(m), num, den) for m, (num, den) in scalars.items() if num)
-        self._terms, self._den = p._terms, p._den
 
     # -- constructors -------------------------------------------------
 
@@ -224,8 +207,12 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        """The constant polynomial of a rational scalar c."""
-        num, den = _scalar(c)
+        """The constant polynomial of a rational scalar c; TypeError for any
+        other value."""
+        r = _rational(c)
+        if r is None:
+            raise TypeError(f"not a rational scalar: {c!r}")
+        num, den = r
         return cls._make({0: num} if num else {}, den)
 
     @classmethod
@@ -286,24 +273,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def terms(self):
-        """(tuple monomial, Fraction coefficient) pairs in insertion order."""
-        from fractions import Fraction
-
-        return ((_unpack(m), Fraction(c, self._den)) for m, c in self._terms.items())
-
-    def coeff(self, mono: Monomial):
-        """The Fraction coefficient of the tuple monomial mono."""
-        from fractions import Fraction
-
-        return Fraction(self._terms.get(_pack(mono), 0), self._den)
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(map(_degree, self._terms))
 
     def variables(self) -> set:
         """The codes of the variables in self: the fields set in the OR of
@@ -609,17 +578,13 @@ def to_json_terms(p: Polynomial) -> list:
 # -- binomial polynomials ----------------------------------------------
 
 
-def binom_poly(arg, i: int) -> Polynomial:
-    """The polynomial binomial coefficient C(arg, i) = arg(arg-1)...(arg-i+1)/i!.
-
-    arg may be a variable code or a Polynomial.
-    """
+def binom_poly(arg: Polynomial, i: int) -> Polynomial:
+    """The polynomial binomial coefficient C(arg, i) = arg(arg-1)...(arg-i+1)/i!."""
     if i < 0:
         raise ValueError(f"binom_poly: i must be >= 0, got {i}")
-    base = Polynomial.var(arg) if isinstance(arg, int) else arg
     result = Polynomial.one()
     for j in range(i):
-        result = result * (base - j)
+        result = result * (arg - j)
     return result / factorial(i)
 
 

@@ -1,7 +1,8 @@
 """Independent routes to objects the package computes one way.
 
 Each function here is a slower or differently derived construction that the
-tests compare against the package's single route.
+tests compare against the package's single route, or a view of a Polynomial
+as {tuple monomial: Fraction} that the tests read its results through.
 """
 
 import argparse
@@ -9,14 +10,22 @@ from fractions import Fraction
 from math import factorial
 
 from kravchuk_identities import arith, series
-from kravchuk_identities.derivations import apply, dixmier_sigma, kravchuk1, kravchuk2
-from kravchuk_identities.identities import hankel
+from kravchuk_identities.derivations import (
+    apply,
+    dixmier_sigma,
+    is_in_kernel,
+    kravchuk1,
+    kravchuk2,
+    weitzenbock,
+)
 from kravchuk_identities.intertwine import apply_psi, psi_ak1, psi_ak2
 from kravchuk_identities.kravchuk import kravchuk, phi_k
 from kravchuk_identities.poly import (
     A,
     X,
     Polynomial,
+    _pack,
+    _unpack,
     binom_poly,
     exact_div,
     generators,
@@ -53,6 +62,32 @@ def mono_div(m2: tuple, m1: tuple) -> tuple:
     for v, e in m1:
         exps[v] -= e
     return tuple((v, e) for v, e in sorted(exps.items()) if e)
+
+
+# -- Polynomials as {tuple monomial: Fraction} -------------------------
+
+
+def from_terms(terms: dict) -> Polynomial:
+    """The Polynomial of {tuple monomial: rational scalar}, over the lcm of
+    the denominators."""
+    return Polynomial.sum(
+        (_pack(m), c.numerator, c.denominator) for m, c in terms.items() if c
+    )
+
+
+def terms(p: Polynomial):
+    """(tuple monomial, Fraction coefficient) pairs of p in insertion order."""
+    return ((_unpack(m), Fraction(c, p._den)) for m, c in p._terms.items())
+
+
+def coeff(p: Polynomial, mono: tuple) -> Fraction:
+    """The Fraction coefficient of the tuple monomial mono in p."""
+    return Fraction(p._terms.get(_pack(mono), 0), p._den)
+
+
+def degree(p: Polynomial) -> int:
+    """Total degree; -1 for the zero polynomial."""
+    return max((mono_deg(_unpack(m)) for m in p._terms), default=-1)
 
 
 def diff_fraction_terms(terms: dict, v: int) -> dict:
@@ -161,6 +196,33 @@ def kravchuk_on_slice(n: int, x, a) -> Polynomial:
     return kravchuk(n).substitute({X: x, A: a})
 
 
+def hankel(entries) -> list:
+    """The Hankel matrix [[e_(i+j)]] on 2n+1 entries e_0..e_2n, of size
+    (n+1) x (n+1); the paper's H_n is hankel([x_0, ..., x_2n])."""
+    if len(entries) % 2 == 0:
+        raise ValueError(f"hankel: needs an odd number of entries, got {len(entries)}")
+    n = len(entries) // 2
+    return [[entries[i + j] for j in range(n + 1)] for i in range(n + 1)]
+
+
+def i_element(n: int) -> Polynomial:
+    """I_n = (1/2) sum_{i=0}^{2n} (-1)^i C(2n,i) x_i x_{2n-i}.
+
+    The second index is read as 2n-i (the printed n-i goes negative);
+    membership in ker(weitzenbock) is asserted as the arbiter.
+    """
+    if n < 1:
+        raise ValueError(f"i_element: n must be >= 1, got {n}")
+    total = Polynomial.sum(
+        Polynomial.var(xvar(i)) * Polynomial.var(xvar(2 * n - i))
+        * ((-1) ** i * arith.binomial(2 * n, i))
+        for i in range(2 * n + 1)
+    ) / 2
+    if not is_in_kernel(weitzenbock, total):
+        raise RuntimeError(f"I_{n} failed the Weitzenbock kernel post-check")
+    return total
+
+
 def determinant_bareiss(matrix) -> Polynomial:
     """Fraction-free Bareiss elimination: after step k every entry of the
     trailing block is a (k+2) x (k+2) minor, so the division by the previous
@@ -228,13 +290,13 @@ def dk1_scale_by_iteration(k: int) -> Fraction:
     """The constant c with D_K1^k(x_k) = c * S^(k)(k) * x_0, read off the
     iterated derivation."""
     iterated = power_apply(kravchuk1, Polynomial.var(xvar(k)), k)
-    return iterated.coeff(((xvar(0), 1),)) / arith.s_upper(k, k)
+    return coeff(iterated, ((xvar(0), 1),)) / arith.s_upper(k, k)
 
 
 def psi_coeff(psi, n: int, i: int) -> Fraction:
     """The coefficient of x_i in psi(x_n): T(n,i) for psi_ak1 and B(n,i)
     for psi_ak2, 0 for i > n."""
-    return psi(n).coeff(((xvar(i), 1),))
+    return coeff(psi(n), ((xvar(i), 1),))
 
 
 def phi_sigma(D, n: int) -> Polynomial:
@@ -261,7 +323,7 @@ def sigma_from_kravchuk_slice(D, n: int) -> Polynomial:
         k_i = kravchuk(i).substitute(slice_)
         form = Polynomial.sum(
             c * (-x1) ** k * x0 ** (i - k)
-            for k, c in ((dict(m).get(A, 0), c) for m, c in k_i.terms())
+            for k, c in ((dict(m).get(A, 0), c) for m, c in terms(k_i))
         )
         total = total + Polynomial.var(xvar(n - i)) * x0 ** (n - i) * form
     return total
@@ -309,7 +371,7 @@ def apply_leibniz(D, p: Polynomial) -> Polynomial:
     """D(p) by the Leibniz rule, one monomial and one variable at a time:
     c x^m goes to sum_v c e_v x^(m - e_v) D(x_v)."""
     total = Polynomial.zero()
-    for mono, c in p.terms():
+    for mono, c in terms(p):
         for v, e in mono:
             image = D(v)
             if image.is_zero:
@@ -320,7 +382,7 @@ def apply_leibniz(D, p: Polynomial) -> Polynomial:
                 del rest[v]
             else:
                 rest[v] = e - 1
-            cof = Polynomial({tuple(sorted(rest.items())): c * e})
+            cof = from_terms({tuple(sorted(rest.items())): c * e})
             total = total + cof * image
     return total
 

@@ -35,8 +35,6 @@ from kravchuk_identities.identities import (
     discriminant_expected,
     discriminant_identity,
     discriminant_matrix,
-    hankel,
-    i_element,
     phi_k,
 )
 from kravchuk_identities.intertwine import apply_psi, psi_ak1, psi_ak2
@@ -48,6 +46,8 @@ from oracles import (
     dk1_power_coeff,
     dk1_scale_by_iteration,
     dk2_power_coeff,
+    hankel,
+    i_element,
     power_apply,
     psi_coeff,
     t_genfun_oracle,

@@ -449,19 +449,25 @@ def test_cli_exponent_limit(capsys):
 
 @pytest.mark.parametrize("which", ["1", "2", "3"])
 def test_cli_conjecture_exponent_limit(capsys, monkeypatch, which):
-    # K_n holds x^n (conjecture 3 reaches K_2n through its moments), so a
-    # sweep to --max-n >= 32768 could only end in the exponent-limit error
-    # after every smaller n: it is refused before the first verifier runs.
+    # K_n holds x^n, and conjecture 3 reaches K_2n through its moments, so a
+    # sweep whose highest K index is 32768 or more could only end in the
+    # exponent-limit error after every smaller n: it is refused before the
+    # first verifier runs.
     def no_sweep(n):
         raise AssertionError(f"verifier called at n = {n}")
 
     for name in ("conjecture1", "conjecture2", "conjecture3"):
         monkeypatch.setattr(identities, name, no_sweep)
-    for max_n in ("32768", "99999999999999999999999"):
+    refused = ["32768", "99999999999999999999999"] + (["16384"] if which == "3" else [])
+    for max_n in refused:
         assert run(["conjecture", which, "--max-n", max_n]) == 2, max_n
         captured = capsys.readouterr()
         assert captured.err.startswith("error: exponent limit exceeded"), max_n
         assert captured.out == "", max_n
+    # One below the limit, the sweep starts: the verifier is called.
+    below = "16383" if which == "3" else "32767"
+    with pytest.raises(AssertionError, match="verifier called at n = "):
+        run(["conjecture", which, "--max-n", below])
 
 
 @pytest.mark.parametrize("kind", ["w", "k1", "k2"])

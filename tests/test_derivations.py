@@ -27,11 +27,14 @@ from oracles import (
     apply_by_products,
     apply_leibniz,
     closed_power,
+    coeff,
     dk1_power_coeff,
     dk1_scale_by_iteration,
     dk2_power_coeff,
+    from_terms,
     power_apply,
     sigma_from_kravchuk_slice,
+    terms,
 )
 
 x0, x1, x2, x3, x4, x5 = (Polynomial.var(xvar(i)) for i in range(6))
@@ -70,7 +73,7 @@ def _random_polynomial(rng, indices):
     for _ in range(rng.randint(0, 12)):
         mono = {xvar(rng.choice(indices)): rng.randint(1, 4) for _ in range(rng.randint(0, 3))}
         terms[tuple(sorted(mono.items()))] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-    return Polynomial(terms)
+    return from_terms(terms)
 
 
 def _assert_apply_matches_oracle(D, p):
@@ -198,7 +201,7 @@ def test_dixmier_sigma_is_reduced_and_in_kernel(D, n, data):
     sigma = dixmier_sigma(D, i)
     if sigma.power > 0:
         # x0 does not divide the numerator: some term has no x0
-        assert any(dict(m).get(xvar(0), 0) == 0 for m, _ in sigma.numerator.terms())
+        assert any(dict(m).get(xvar(0), 0) == 0 for m, _ in terms(sigma.numerator))
     assert apply(D, sigma.numerator).is_zero
 
 
@@ -247,7 +250,7 @@ def test_cayley_elements_in_kernel():
         assert is_in_kernel(kravchuk2, c.polynomial)
         # The sign convention's anchor x_1 x_0^power has a positive coefficient.
         anchor = (((xvar(0), c.power),) if c.power else ()) + ((xvar(1), 1),)
-        assert c.polynomial.coeff(anchor) > 0
+        assert coeff(c.polynomial, anchor) > 0
 
 
 def test_kernel_membership_examples():

@@ -28,8 +28,6 @@ from kravchuk_identities.identities import (
     discriminant_expected,
     discriminant_identity,
     discriminant_matrix,
-    hankel,
-    i_element,
     phi_k,
     proportional,
 )
@@ -51,6 +49,8 @@ from oracles import (
     conjecture1_double_sum,
     conjecture2_double_sum,
     conjecture3_expanded,
+    hankel,
+    i_element,
     kravchuk_on_slice,
     phi_sigma,
 )
