@@ -33,8 +33,8 @@ of EXPONENT_LIMIT or more; and Polynomial.sum takes a single term as a
 import sys
 from bisect import insort
 from functools import reduce
-from math import factorial, gcd, lcm
-from operator import mul, or_
+from math import factorial, gcd, lcm, prod
+from operator import or_
 
 # Codes for the Kravchuk arguments; every generator index lies below X.
 X = 10**9
@@ -185,6 +185,9 @@ class Polynomial:
 
     # -- constructors -------------------------------------------------
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a Polynomial with zero, one, constant, var or linear")
+
     @classmethod
     def _make(cls, terms: dict, den: int = 1) -> "Polynomial":
         """From nonzero int numerators over den > 0, divided by their gcd."""
@@ -282,9 +285,7 @@ class Polynomial:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Polynomial) and _rational(other) is None:
-            return NotImplemented
-        return Polynomial.sum((self, other))
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -292,16 +293,38 @@ class Polynomial:
         return Polynomial._make({m: -c for m, c in self._terms.items()}, self._den)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other._plus(self, -1)
+
+    def _plus(self, other, sign: int):
+        """self + sign * other for sign +-1, in one dict over the lcm of the
+        denominators, a cancelled key deleted in place, so the terms keep
+        Polynomial.sum's order; NotImplemented unless other is rational."""
+        if isinstance(other, Polynomial):
+            terms, d = other._terms, other._den
+        else:
+            r = _rational(other)
+            if r is None:
+                return NotImplemented
+            num, d = r
+            terms = {0: num} if num else {}
+        den = lcm(self._den, d)
+        scale = den // self._den
+        result = {m: c * scale for m, c in self._terms.items()} if scale > 1 else dict(self._terms)
+        sign *= den // d
+        get = result.get
+        for m, c in terms.items():
+            s = get(m, 0) + c * sign
+            if s:
+                result[m] = s
+            else:
+                del result[m]
+        return Polynomial._make(result, den)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -309,26 +332,7 @@ class Polynomial:
             if r is None:
                 return NotImplemented
             return self._scale(*r)
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        result: dict = {}
-        get = result.get
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = m1 + m2
-                s = get(m, 0) + c1 * c2
-                if s:
-                    result[m] = s
-                else:
-                    del result[m]
-        # Each field of an OR bounds that exponent in every key, so a clear
-        # guard bit in the sum of the ORs rules out an overflow, and only a
-        # set one needs the product's keys checked.
-        if (reduce(or_, a, 0) + reduce(or_, b, 0)) & GUARD and (
-            reduce(or_, result, 0) & GUARD
-        ):
-            raise ExponentOverflow()
+        result = _mul_into({}, self._terms, other._terms)
         return Polynomial._make(result, self._den * other._den)
 
     __rmul__ = __mul__
@@ -401,19 +405,29 @@ class Polynomial:
 
         Every variable occurring in self must be bound; variables appearing
         only in the images pass through untouched.
+        Over a denominator fixed first, each term's numerator is multiplied
+        through its powers of the images as numerator dicts, the last product
+        added straight into one dict: no Polynomial per term.
         """
         images = {v: _as_polynomial(p) for v, p in bindings.items()}
-        missing = self.variables() - set(images)
+        terms = [(_unpack(m), c) for m, c in self._terms.items()]
+        keys = {key for m, _ in terms for key in m}
+        missing = {v for v, _ in keys} - images.keys()
         if missing:
             names = ", ".join(var_name(v) for v in sorted(missing))
             raise KeyError(f"no substitution binding for variable(s): {names}")
-        terms = [(_unpack(m), c) for m, c in self._terms.items()]
-        keys = {key for m, _ in terms for key in m}
         powers = {(v, e): images[v] ** e if e > 1 else images[v] for v, e in keys}
-        total = Polynomial.sum(
-            reduce(mul, (powers[key] for key in m), c) for m, c in terms
-        )
-        return Polynomial._make(total._terms, total._den * self._den)
+        rows = [([powers[key] for key in m], c) for m, c in terms]
+        dens = [prod(q._den for q in factors) for factors, _ in rows]
+        den = lcm(*dens)
+        total: dict = {}
+        for (factors, c), d in zip(rows, dens):
+            product = {0: c * (den // d)}
+            last = factors.pop()._terms if factors else {0: 1}
+            for q in factors:
+                product = _mul_into({}, product, q._terms)
+            _mul_into(total, product, last)
+        return Polynomial._make(total, den * self._den)
 
     def derive(self, images: dict) -> "Polynomial":
         """The derivation image sum_v d(self)/dv * images[v], from var code ->
@@ -424,7 +438,7 @@ class Polynomial:
         each term c x^m of self with exponent e of v adds c e c2 at
         x^(m - e_v) x^m2 for each term c2 x^m2 of images[v], all into one
         dict, with no Polynomial per derivative or per product.  As in
-        __mul__, a set guard bit in the OR of self's keys plus the OR of
+        _mul_into, a set guard bit in the OR of self's keys plus the OR of
         images[v]'s sends that variable's product keys through the overflow
         check; a linear image cannot cancel an overflowed key within one
         product."""
@@ -458,6 +472,32 @@ class Polynomial:
 
     def __str__(self):
         return render_text(self)
+
+
+def _mul_into(total: dict, a: dict, b: dict) -> dict:
+    """total, with the product of the numerator dicts a and b added into it
+    in place.  A field of an OR bounds that exponent in every key, so only a
+    set guard bit in the sum of a's and b's ORs sends the product keys
+    through the check, made before total changes, so that no other term can
+    cancel an overflow.  The exponents of a and b stay below EXPONENT_LIMIT,
+    so no field carries into the next: a chain checks every product."""
+    if len(a) > len(b):
+        a, b = b, a
+    guard = GUARD
+    if (reduce(or_, a, 0) + reduce(or_, b, 0)) & guard and any(
+        (m1 + m2) & guard for m1 in a for m2 in b
+    ):
+        raise ExponentOverflow()
+    get = total.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1 + m2
+            s = get(m, 0) + c1 * c2
+            if s:
+                total[m] = s
+            else:
+                del total[m]
+    return total
 
 
 def _as_polynomial(value) -> Polynomial:

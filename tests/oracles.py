@@ -7,7 +7,9 @@ as {tuple monomial: Fraction} that the tests read its results through.
 
 import argparse
 from fractions import Fraction
+from functools import reduce
 from math import factorial
+from operator import mul
 
 from kravchuk_identities import arith, series
 from kravchuk_identities.derivations import (
@@ -165,6 +167,14 @@ def substitute_fraction_terms(terms: dict, images: dict) -> dict:
                 product = mul_fraction_terms(product, images[v])
         parts.append(product)
     return sum_fraction_terms(parts)
+
+
+def substitute_by_products(p: Polynomial, bindings: dict) -> Polynomial:
+    """p's image under var code -> Polynomial bindings as the sum of one
+    Polynomial product c * image^e * ... per term c x^m of p, each power
+    computed once."""
+    powers = {key: bindings[key[0]] ** key[1] for m, _ in terms(p) for key in m}
+    return Polynomial.sum(reduce(mul, (powers[key] for key in m), c) for m, c in terms(p))
 
 
 def kravchuk_three_term(n: int) -> list:

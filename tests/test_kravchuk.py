@@ -120,6 +120,25 @@ def test_on_slice_low_orders():
         on_slice(2, xvar(1))
 
 
+def test_substitute_into_kravchuk_makes_one_polynomial(monkeypatch):
+    """A linear form's image under x_i -> K_i is summed into one dict: the
+    result is the only Polynomial made."""
+    images = {xvar(i): kravchuk(i) for i in range(6)}
+    form = Polynomial.linear({i: i + 1 for i in range(6)}, 7)
+    make = Polynomial.__dict__["_make"].__func__
+    made = []
+
+    def counting_make(cls, terms, den=1):
+        made.append(den)
+        return make(cls, terms, den)
+
+    monkeypatch.setattr(Polynomial, "_make", classmethod(counting_make))
+    image = form.substitute(images)
+    monkeypatch.undo()
+    assert len(made) == 1
+    assert image == sum((i + 1) * kravchuk(i) for i in range(6)) / 7
+
+
 def test_cache_clear_clears_the_rows():
     kravchuk(5)
     assert kravchuk_module._top[0] >= 5

@@ -42,6 +42,7 @@ from oracles import (
     hankel,
     mono_deg,
     mul_fraction_terms,
+    substitute_by_products,
     substitute_fraction_terms,
     sum_fraction_terms,
     terms,
@@ -175,6 +176,12 @@ _NON_RATIONAL_PART = {
 def test_non_rational_part_is_a_type_error_naming_it(entry):
     with pytest.raises(TypeError, match=r"^not a rational scalar: 1\.5$"):
         _NON_RATIONAL_PART[entry]()
+
+
+def test_calling_the_class_is_a_type_error_naming_the_constructors():
+    for args in ((), ({((xvar(1), 1),): 1},)):
+        with pytest.raises(TypeError, match="zero, one, constant, var or linear"):
+            Polynomial(*args)
 
 
 def test_constant_hashes_as_the_rational_it_equals():
@@ -471,6 +478,34 @@ def test_sum_matches_fraction_terms(parts):
     assert list(terms(total)) == list(expected.items())
 
 
+@given(
+    rational_polynomials(),
+    rational_polynomials(),
+    st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=12)),
+)
+@settings(max_examples=100, deadline=None)
+def test_add_and_sub_match_fraction_terms(p, q, c):
+    """Each binary + and - gives Polynomial.sum's terms, in its order."""
+    pt, qt, pq = dict(terms(p)), dict(terms(q)), dict(terms(p + q))
+    ct = {(): Fraction(c)} if c else {}
+
+    def neg(t):
+        return {m: -v for m, v in t.items()}
+
+    for result, parts in (
+        (p + q, (pt, qt)),
+        (p - q, (pt, neg(qt))),
+        (q - p, (qt, neg(pt))),
+        ((p + q) - p, (pq, neg(pt))),
+        (p + c, (pt, ct)),
+        (c + p, (pt, ct)),
+        (c - p, (ct, neg(pt))),
+        (p - c, (pt, neg(ct))),
+    ):
+        assert_canonical(result)
+        assert list(terms(result)) == list(sum_fraction_terms(parts).items())
+
+
 @given(rational_polynomials(), small_fractions, st.integers(-6, 6))
 @settings(max_examples=100, deadline=None)
 def test_scalar_ops_diff_match_fraction_terms(p, f, n):
@@ -500,6 +535,18 @@ def test_substitute_matches_fraction_terms(p, images):
         dict(terms(p)), {v: dict(terms(q)) for v, q in bindings.items()}
     )
     assert dict(terms(image)) == expected
+
+
+@given(
+    rational_polynomials(),
+    st.lists(rational_polynomials(max_terms=3), min_size=6, max_size=6),
+)
+@settings(max_examples=50, deadline=None)
+def test_substitute_matches_products(p, images):
+    bindings = dict(zip(CODES, images))
+    image = p.substitute(bindings)
+    assert_canonical(image)
+    assert image == substitute_by_products(p, bindings)
 
 
 @given(rational_polynomials(), rational_polynomials(), rational_polynomials())
@@ -600,6 +647,17 @@ def test_exponent_limit():
     assert (x1**top).substitute({xvar(1): x2}) == x2**top
     with pytest.raises(ExponentOverflow):
         (x1 ** (EXPONENT_LIMIT // 2)).substitute({xvar(1): x2**2})
+    # x4's field sums to exactly 2^16 over the three factors and carries
+    # into the next field, leaving its guard bit clear: each product of the
+    # chain is checked, not only the last.
+    x4, x5 = Polynomial.var(xvar(4)), Polynomial.var(xvar(5))
+    with pytest.raises(ExponentOverflow):
+        (x1 * x2 * x3).substitute({xvar(1): x4**top, xvar(2): x4**top, xvar(3): x4**2})
+    # Both products overflow and cancel in the sum; the first one raises.
+    with pytest.raises(ExponentOverflow):
+        (x1 * x2 - x3 * x4).substitute(
+            {xvar(1): x5**top, xvar(3): x5**top, xvar(2): x5, xvar(4): x5}
+        )
     assert issubclass(ExponentOverflow, ValueError)
 
 
