@@ -14,8 +14,8 @@ from types import SimpleNamespace
 
 from . import arith
 from .derivations import is_in_kernel, kravchuk1
-from .intertwine import apply_psi, psi_ak1, psi_ak2
-from .kravchuk import on_slice, phi_k
+from .intertwine import apply_psi, psi_ak1, psi_row
+from .kravchuk import on_slice, phi_k, slice_numerators, slice_polynomial
 from .poly import (
     A,
     X,
@@ -194,30 +194,46 @@ def discriminant_identity() -> IdentityReport:
     return report
 
 
-def _c3_stated(n: int, c: int, v: Polynomial, s: int) -> Polynomial:
+# (var, s) -> (m, R_m, F_(m-1)) for the stated side last asked for (see
+# _c3_stated), so a sweep over n grows each product by one factor per n.
+_stated: dict = {}
+
+
+def _c3_stated(n: int, c: int, var: int, s: int) -> Polynomial:
     """The stated right side of conjecture 3 at n:
-    (-1)^(n(n+1)/2) c prod_{i<n-1} (v + s i)^(n-1-i)."""
-    factors = ((v + s * i) ** (n - 1 - i) for i in range(n - 1))
-    return reduce(mul, factors, Polynomial.constant((-1) ** (n * (n + 1) // 2) * c))
+    (-1)^(n(n+1)/2) c prod_{i<n-1} (v + s i)^(n-1-i) with v = var.  The
+    product is R_n = F_1 F_2 ... F_(n-1) with F_m = prod_{i<m} (v + s i),
+    stepped up from the kept one by F_m = F_(m-1) (v + s(m-1)) and
+    R_(m+1) = R_m F_m; a request below it starts again from R_1 = F_0 = 1."""
+    v = Polynomial.var(var)
+    m, r, f = _stated.get((var, s), (n + 1, None, None))
+    if m > n:
+        m, r, f = 1, Polynomial.one(), Polynomial.one()
+    while m < n:
+        f = f * (v + s * (m - 1))
+        r = r * f
+        m += 1
+    _stated[var, s] = m, r, f
+    return r * ((-1) ** (n * (n + 1) // 2) * c)
 
 
 class _Chebyshev:
     """The Chebyshev algorithm (Gautschi, Orthogonal Polynomials, 2004,
-    sec. 2.1.7) on the moments mu_l = phi_K(psi(x_l)), grown in place one n
-    at a time and never restarted.
+    sec. 2.1.7) on the moments mu_l = moment(l), grown in place one n at a
+    time and never restarted.
 
-    sigma[k, l] = sigma_{k,l}, with sigma_{0,l} = mu_l.  alpha[k] =
-    ratios[k] - ratios[k-1] with ratios[k] = sigma_{k,k+1} / sigma_{k,k},
-    beta[0] = mu_0 and beta[k] = sigma_{k,k} / sigma_{k-1,k-1} are the
-    coefficients of the three-term recurrence of the moments' orthogonal
-    polynomials.  By
+    sigma[k, l] = sigma_{k,l}, with sigma_{0,l} = mu_l, each moment asked
+    for once.  alpha[k] = ratios[k] - ratios[k-1] with ratios[k] =
+    sigma_{k,k+1} / sigma_{k,k}, beta[0] = mu_0 and beta[k] = sigma_{k,k} /
+    sigma_{k-1,k-1} are the coefficients of the three-term recurrence of the
+    moments' orthogonal polynomials.  By
     Heilermann's formula the Hankel determinant det[mu_(i+j)]_{i,j<=n} is
     dets[n] = sigma_{0,0} sigma_{1,1} ... sigma_{n,n}.  Every division is
     exact_div, which raises when it is not exact.
     """
 
-    def __init__(self, psi):
-        self.psi = psi
+    def __init__(self, moment):
+        self.moment = moment
         self.sigma: dict = {}
         self.alpha: list = []
         self.beta: list = []
@@ -230,15 +246,17 @@ class _Chebyshev:
         return self.dets[n]
 
     def _step(self) -> None:
-        """dets[m] from dets[m-1]: rows k < m gain sigma_{k,l} for
-        l = 2m-k-1, 2m-k, then alpha[m-1] and beta[m-1] give sigma_{m,m}."""
+        """dets[m] from dets[m-1]: row 0 gains mu_l and rows k < m gain
+        sigma_{k,l} for l = 2m-k-1, 2m-k, then alpha[m-1] and beta[m-1] give
+        sigma_{m,m}."""
         m = len(self.dets)
-        if not m:
-            self.dets.append(moment(self.psi, 0))
-            return
         sigma, alpha, beta, ratios = self.sigma, self.alpha, self.beta, self.ratios
-        for l in (2 * m - 1, 2 * m):
-            moment(self.psi, l)  # row 0
+        for l in range(max(2 * m - 1, 0), 2 * m + 1):
+            if (0, l) not in sigma:
+                sigma[0, l] = self.moment(l)
+        if not m:
+            self.dets.append(sigma[0, 0])
+            return
         for k in range(1, m):
             for l in (2 * m - k - 1, 2 * m - k):
                 sigma[k, l] = _sigma_entry(sigma, alpha, beta, k, l)
@@ -262,21 +280,51 @@ def _sigma_entry(sigma: dict, alpha: list, beta: list, k: int, l: int) -> Polyno
     return entry
 
 
-# psi -> its _Chebyshev table.  Row 0 holds the moments, so clearing the
-# moment cache starts every table afresh.
-_table = lru_cache(maxsize=None)(_Chebyshev)
+# psi_AK1 (kind "ak1") and psi_AK2 ("ak2") -> the variable their moments are
+# read in on the slice a = 2x, the one variable their Hankel determinants
+# hold (see conjecture3).
+_SLICE_VAR = {"ak1": A, "ak2": X}
+
+# slice_numerators(i) for i = 0, 1, ...: kept as long as the tables, so a
+# sweep steps the rows of i! K_i up once.
+_slices: list = []
 
 
-def moment(psi, k: int) -> Polynomial:
-    """phi_K(psi(x_k)), entry k of the conjecture-3 Hankel matrices; kept in
-    row 0 of psi's table, so a sweep over n expands each entry once."""
-    sigma = _table(psi).sigma
-    if (0, k) not in sigma:
-        sigma[0, k] = phi_k(psi(k))
-    return sigma[0, k]
+def moment(kind: str, l: int) -> Polynomial:
+    """nu_l = phi_K(psi(x_l)) on the slice a = 2x, in the variable
+    _SLICE_VAR[kind], for the psi whose rows are psi_row(kind, .): the sum
+    over i of row[i] K_i at a = 2x.  With d + 1 entries in the row, each
+    K_i's slice numerators (see kravchuk.slice_numerators, over 2^i i!) are
+    scaled by row[i] d!/i! 2^(d-i) into one int vector over 2^d d!, which
+    is packed once; no K_i and no psi(x_l) is built.  conjecture3 keeps
+    each nu_l in row 0 of kind's table, and moment.cache_clear drops the
+    tables and the kept slice numerators."""
+    row = psi_row(kind, l)
+    d = len(row) - 1
+    while len(_slices) <= d:
+        _slices.append(slice_numerators(len(_slices)))
+    total = [0] * (d + 1)
+    scale = 1  # d!/i! 2^(d-i)
+    for i in range(d, -1, -1):
+        if row[i]:
+            c = row[i] * scale
+            total[: i + 1] = [t + c * u for t, u in zip(total, _slices[i])]
+        scale = scale * i << 1
+    return slice_polynomial(total, factorial(d) << d, _SLICE_VAR[kind])
 
 
-moment.cache_clear = _table.cache_clear
+@lru_cache(maxsize=None)
+def _table(kind: str) -> _Chebyshev:
+    """The Chebyshev table of kind's slice moments."""
+    return _Chebyshev(lambda l: moment(kind, l))
+
+
+def _cache_clear():
+    _table.cache_clear()
+    _slices.clear()
+
+
+moment.cache_clear = _cache_clear
 
 
 def conjecture3(n: int) -> tuple:
@@ -284,9 +332,26 @@ def conjecture3(n: int) -> tuple:
     (n+1) x (n+1) Hankel matrix H_n = [x_(i+j)].
 
     phi_K o psi is a ring homomorphism, so the image of det H_n is the
-    Hankel determinant on the moments phi_K(psi(x_0)), ..., phi_K(psi(x_2n))
-    over Q[x,a], read off psi's Chebyshev table; det H_n itself is never
-    expanded, and a sweep over n computes each table entry once.
+    Hankel determinant det[mu_(i+j)] on the moments mu_l = phi_K(psi(x_l))
+    in Q[x,a]; det H_n itself is never expanded.  It equals the Hankel
+    determinant det[nu_(i+j)] on the moments on the slice a = 2x (see
+    moment), read off kind's Chebyshev table, so a sweep over n computes
+    each table entry once, in one variable:
+
+    - mu_l = sum_i row_l[i] K_i, and sum_l row_l[i] z^l / l! = g(z)^i with
+      g = tanh z for psi_AK1 and g = e^z - 1 for psi_AK2.  So
+      sum_l mu_l z^l / l! = sum_i K_i g^i = (1 - g)^x (1 + g)^(a-x)
+      = e^(s z) F(z), with s = K_1 = a - 2x and F = cosh(z)^(-a) for
+      psi_AK1, F = (2 e^z - e^(2z))^x for psi_AK2: F holds a alone or x
+      alone.
+    - Evaluation at a = 2x is a ring homomorphism and s vanishes there, so
+      nu_l = mu_l(a = 2x) = l! [z^l] F, read in a for psi_AK1 and in x for
+      psi_AK2, is the coefficient of F itself, and the lemma
+      mu_l = sum_k C(l,k) s^(l-k) nu_k follows from e^(s z) F(z).
+    - So [mu_(i+j)] = L [nu_(i+j)] L^T with L_(ik) = C(i,k) s^(i-k), which
+      is unitriangular (Krattenthaler, Advanced determinant calculus, 1999),
+      and det[mu_(i+j)] = det[nu_(i+j)]: the slice loses nothing.
+
     Part (ii)'s 2^i i! product is read with the upper bound n, the only
     reading under which the image equals the products extended by one
     index (Heilermann's formula; the tests check it for n <= 20).
@@ -294,12 +359,12 @@ def conjecture3(n: int) -> tuple:
     if n < 1:
         raise ValueError(f"conjecture3: n must be >= 1, got {n}")
     reports = []
-    for check_id, psi, code, s, c in (
-        ("conjecture3i", psi_ak1, A, 1, prod(map(factorial, range(n)))),
-        ("conjecture3ii", psi_ak2, X, -1, prod(2**i * factorial(i) for i in range(n + 1))),
+    for check_id, kind, s, c in (
+        ("conjecture3i", "ak1", 1, prod(map(factorial, range(n)))),
+        ("conjecture3ii", "ak2", -1, prod(2**i * factorial(i) for i in range(n + 1))),
     ):
         start = time.perf_counter()
-        image = _table(psi).det(n)
-        expected = _c3_stated(n, c, Polynomial.var(code), s)
+        image = _table(kind).det(n)
+        expected = _c3_stated(n, c, _SLICE_VAR[kind], s)
         reports.append(_report(check_id, n, image, expected, start))
     return tuple(reports)

@@ -14,7 +14,7 @@ from .poly import Polynomial, generators
 _ROWS: dict = {}
 
 
-def _row(kind: str, n: int) -> tuple:
+def psi_row(kind: str, n: int) -> tuple:
     """Row n, indices 0..n, of T(n,i) = n! [z^n] tanh(z)^i (kind "ak1") or
     B(n,k) = n! [z^n] (e^z - 1)^k = k! S(n,k) (kind "ak2"), from the
     derivatives of the generating functions: T(n+1,i) = i (T(n,i-1) -
@@ -39,11 +39,11 @@ def _row(kind: str, n: int) -> tuple:
 def build_psi(kind: str, n: int) -> Polynomial:
     """psi(x_n) for kind "ak1" or "ak2": the linear form sum_i row[i] x_i
     (row 0 is (1,), so psi(x_0) = x_0), built on each call from the kept
-    row; no caller asks for the same psi(x_n) twice (see apply_psi and the
-    moment cache in identities)."""
+    row; no caller asks for the same psi(x_n) twice (see apply_psi; the
+    conjecture-3 moments in identities read psi_row itself)."""
     if kind not in ("ak1", "ak2"):
         raise ValueError(f"unknown intertwining map kind: {kind!r}")
-    return Polynomial.linear(dict(enumerate(_row(kind, n))))
+    return Polynomial.linear(dict(enumerate(psi_row(kind, n))))
 
 
 def psi_ak1(n: int) -> Polynomial:

@@ -74,22 +74,33 @@ def _cache_clear():
 kravchuk.cache_clear = _cache_clear
 
 
-def on_slice(n: int, var: int) -> Polynomial:
-    """K_n on the slice a = 2x as a polynomial in var: K_n(a/2, a) for var = A
-    and K_n(x, 2x) for var = X.  It is read straight off the rows of
-    P_n = n! K_n (see _rows), with no K_n built or cached: the coefficient of
-    a^k is t_k / (2^n n!) with t_k = sum_{i+j=k} P_n[i][j] 2^(n-i), and at
-    a = 2x that of x^k is 2^k t_k / (2^n n!)."""
-    if var not in (X, A):
-        raise ValueError(f"on_slice: var must be X or A, got {var!r}")
+def slice_numerators(n: int) -> list:
+    """t_0..t_n with K_n(a/2, a) = sum_k t_k a^k / (2^n n!), read straight
+    off the rows of P_n = n! K_n (see _rows), with no K_n built:
+    t_k = sum_{i+j=k} P_n[i][j] 2^(n-i)."""
     _check(n)
     total = [0] * (n + 1)
     for i, row in enumerate(_rows(n)):
         total[i:] = [t + (c << (n - i)) for t, c in zip(total[i:], row)]
-    den = factorial(n) << n
+    return total
+
+
+def slice_polynomial(numerators: list, den: int, var: int) -> Polynomial:
+    """sum_k numerators[k] a^k / den on the slice a = 2x, as a polynomial in
+    var: as it stands for var = A, and sum_k 2^k numerators[k] x^k / den
+    for var = X."""
     if var == X:
-        return Polynomial.from_xa_rows([[t << k] for k, t in enumerate(total)], den)
-    return Polynomial.from_xa_rows([total], den)
+        return Polynomial.from_xa_rows([[t << k] for k, t in enumerate(numerators)], den)
+    return Polynomial.from_xa_rows([numerators], den)
+
+
+def on_slice(n: int, var: int) -> Polynomial:
+    """K_n on the slice a = 2x as a polynomial in var: K_n(a/2, a) for var = A
+    and K_n(x, 2x) for var = X, from slice_numerators(n) over 2^n n!; no K_n
+    is built or cached."""
+    if var not in (X, A):
+        raise ValueError(f"on_slice: var must be X or A, got {var!r}")
+    return slice_polynomial(slice_numerators(n), factorial(n) << n, var)
 
 
 def phi_k(p: Polynomial) -> Polynomial:

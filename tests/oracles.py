@@ -233,6 +233,22 @@ def i_element(n: int) -> Polynomial:
     return total
 
 
+def bivariate_moment(psi, l: int) -> Polynomial:
+    """mu_l = phi_K(psi(x_l)) in Q[x, a], by substituting K_0..K_l into the
+    linear form psi(x_l): the package reads the moments on the slice a = 2x
+    instead (identities.moment)."""
+    return phi_k(psi(l))
+
+
+def binomial_shift(moments: list, s: Polynomial) -> list:
+    """mu_l = sum_k C(l,k) s^(l-k) nu_k for l < len(moments), the moments of
+    e^(s z) F(z) when nu_0, nu_1, ... are those of F(z)."""
+    return [
+        Polynomial.sum(s ** (l - k) * arith.binomial(l, k) * moments[k] for k in range(l + 1))
+        for l in range(len(moments))
+    ]
+
+
 def determinant_bareiss(matrix) -> Polynomial:
     """Fraction-free Bareiss elimination: after step k every entry of the
     trailing block is a (k+2) x (k+2) minor, so the division by the previous

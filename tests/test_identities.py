@@ -5,6 +5,7 @@ from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kravchuk_identities import identities
 from kravchuk_identities.derivations import (
@@ -46,6 +47,8 @@ from kravchuk_identities.poly import (
 
 from conftest import polynomials
 from oracles import (
+    binomial_shift,
+    bivariate_moment,
     conjecture1_double_sum,
     conjecture2_double_sum,
     conjecture3_expanded,
@@ -351,8 +354,8 @@ def test_conjecture3_sweep_computes_each_sigma_once(monkeypatch):
         conjecture3(n)
     # sigma_{6,6} needs rows 1..6 up to l = 12 - k, and nothing past them
     expected = {(k, l) for k in range(1, 7) for l in range(k, 13 - k)}
-    for psi in (psi_ak1, psi_ak2):
-        table = id(identities._table(psi).sigma)
+    for kind in ("ak1", "ak2"):
+        table = id(identities._table(kind).sigma)
         assert {(k, l): c for (t, k, l), c in calls.items() if t == table} == dict.fromkeys(
             expected, 1
         )
@@ -381,11 +384,58 @@ def test_conjecture3_table_survives_an_interrupted_step(monkeypatch):
 
 
 def test_conjecture3_is_the_laplace_hankel_determinant():
-    # the memoized Laplace expansion of det[phi_K(psi(x_(i+j)))]
+    # the memoized Laplace expansion of det[phi_K(psi(x_(i+j)))] in Q[x, a]
     for n in range(1, 7):
         for psi, rep in zip((psi_ak1, psi_ak2), conjecture3(n)):
-            h = hankel([identities.moment(psi, k) for k in range(2 * n + 1)])
+            h = hankel([bivariate_moment(psi, k) for k in range(2 * n + 1)])
             assert rep.image == determinant(h)
+
+
+def test_slice_moments_are_the_bivariate_moments_at_a_2x():
+    # nu_l = mu_l(a = 2x), read in a for psi_AK1 and in x for psi_AK2
+    for kind, psi, on_slice in (
+        ("ak1", psi_ak1, {X: a / 2, A: a}),
+        ("ak2", psi_ak2, {X: x, A: 2 * x}),
+    ):
+        for l in range(17):
+            mu = bivariate_moment(psi, l)
+            assert identities.moment(kind, l) == mu.substitute(on_slice), (kind, l)
+
+
+def test_bivariate_moments_are_the_slice_moments_shifted_by_k1():
+    # mu_l = sum_k C(l,k) (a - 2x)^(l-k) nu_k, from e^((a-2x) z) F(z)
+    for kind, psi in (("ak1", psi_ak1), ("ak2", psi_ak2)):
+        nu = [identities.moment(kind, l) for l in range(17)]
+        assert binomial_shift(nu, a - 2 * x) == [bivariate_moment(psi, l) for l in range(17)]
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=20, deadline=None)
+def test_hankel_determinant_is_invariant_under_a_binomial_shift(n, data):
+    # [mu_(i+j)] = L [nu_(i+j)] L^T with L unitriangular, for any shift s
+    s = data.draw(polynomials(max_var=1, max_exp=1, max_terms=3))
+    nu = [data.draw(polynomials(max_var=1, max_exp=1, max_terms=2)) for _ in range(2 * n + 1)]
+    assert determinant(hankel(binomial_shift(nu, s))) == determinant(hankel(nu))
+
+
+def test_conjecture3_sweep_reads_each_slice_once(monkeypatch):
+    # both parts share the slice numerators of K_0..K_2n, asked for in
+    # ascending order, so the rows of n! K_n step up once per sweep
+    calls = []
+    slice_numerators = identities.slice_numerators
+
+    def counting_slice_numerators(n):
+        calls.append(n)
+        return slice_numerators(n)
+
+    monkeypatch.setattr(identities, "slice_numerators", counting_slice_numerators)
+    identities.moment.cache_clear()
+    try:
+        for n in range(1, 5):
+            conjecture3(n)
+    finally:
+        identities.moment.cache_clear()
+    assert calls == list(range(9))
 
 
 def test_chebyshev_table_on_moments_with_a_factor():
@@ -394,25 +444,33 @@ def test_chebyshev_table_on_moments_with_a_factor():
     def scaled_psi(k):
         return (x0 + x1) * psi_ak2(k)
 
-    try:
-        for n in range(1, 5):
-            h = hankel([identities.moment(scaled_psi, k) for k in range(2 * n + 1)])
-            assert identities._table(scaled_psi).det(n) == determinant(h)
-    finally:
-        identities.moment.cache_clear()
+    table = identities._Chebyshev(lambda l: bivariate_moment(scaled_psi, l))
+    for n in range(1, 5):
+        h = hankel([bivariate_moment(scaled_psi, k) for k in range(2 * n + 1)])
+        assert table.det(n) == determinant(h)
 
 
 def test_conjecture3_recurrence_closed_forms():
-    # the J-fraction of the moments: b_k = alpha_k, lambda_k = beta_k
+    # the J-fraction of the moments: b_k = alpha_k, lambda_k = beta_k, on
+    # the bivariate moments and on the slice a = 2x, where only alpha_k
+    # changes (by the shift a - 2x)
     conjecture3(20)
-    t_i, t_ii = (identities._table(psi) for psi in (psi_ak1, psi_ak2))
-    assert t_i.beta[0] == t_ii.beta[0] == 1
+    t_i, t_ii = (
+        identities._Chebyshev(lambda l, psi=psi: bivariate_moment(psi, l))
+        for psi in (psi_ak1, psi_ak2)
+    )
+    s_i, s_ii = (identities._table(kind) for kind in ("ak1", "ak2"))
+    for t in (t_i, t_ii):
+        t.det(20)
+    assert t_i.beta[0] == t_ii.beta[0] == s_i.beta[0] == s_ii.beta[0] == 1
     for k in range(20):
         assert t_i.alpha[k] == a - 2 * x
         assert t_ii.alpha[k] == a - 2 * x + 3 * k
+        assert s_i.alpha[k] == 0
+        assert s_ii.alpha[k] == 3 * k
     for k in range(1, 20):
-        assert t_i.beta[k] == _lambda_i(k)
-        assert t_ii.beta[k] == _lambda_ii(k)
+        assert t_i.beta[k] == s_i.beta[k] == _lambda_i(k)
+        assert t_ii.beta[k] == s_ii.beta[k] == _lambda_ii(k)
 
 
 def test_conjecture3_shifted_products_through_20():
@@ -443,16 +501,20 @@ def test_conjecture3_stated_side_through_20():
 
 
 def test_conjecture3_inexact_division_raises(monkeypatch):
-    # mu_0 = phi_K(x0 + x1) = a - 2x + 1 does not divide mu_1 = phi_K(x0) = 1,
-    # and no determinant stands in for the failed division
-    def fake_psi(k):
-        return x0 + x1 if k == 0 else x0
+    # A fake map with the rows of x0 + x2 at 0 and x0 above: on the slice,
+    # mu_0 = phi_K(x0 + x2)(a = 2x) = 1 - a/2 does not divide
+    # mu_1 = phi_K(x0) = 1, and no determinant stands in for the failed
+    # division
+    def fake_psi_row(kind, k):
+        return (1, 0, 1) if k == 0 else (1,)
 
     def no_determinant(matrix):
         raise AssertionError("fell back to a determinant")
 
-    monkeypatch.setattr(identities, "psi_ak1", fake_psi)
+    monkeypatch.setattr(identities, "psi_row", fake_psi_row)
     monkeypatch.setattr(identities, "determinant", no_determinant)
+    identities.moment.cache_clear()
+    assert identities.moment("ak1", 0) == 1 - a / 2
     try:
         with pytest.raises(ValueError, match="not exact"):
             conjecture3(1)
@@ -462,18 +524,19 @@ def test_conjecture3_inexact_division_raises(monkeypatch):
 
 def test_conjecture3_sweep_expands_each_moment_once(monkeypatch):
     calls = []
+    moment = identities.moment
 
-    def counting_phi_k(p):
-        calls.append(p)
-        return phi_k(p)
+    def counting_moment(kind, l):
+        calls.append((kind, l))
+        return moment(kind, l)
 
-    monkeypatch.setattr(identities, "phi_k", counting_phi_k)
-    identities.moment.cache_clear()
+    monkeypatch.setattr(identities, "moment", counting_moment)
+    moment.cache_clear()
     try:
         for n in range(1, 5):
             conjecture3(n)
     finally:
-        identities.moment.cache_clear()
+        moment.cache_clear()
     # entries 0..8 of each part's Hankel matrices, once each
     assert len(calls) == 2 * 9
 

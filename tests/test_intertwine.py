@@ -74,11 +74,11 @@ def test_cold_rows_cache_only_the_requested_rows():
     # only the rows asked for; any request order gives the same rows.
     intertwine._ROWS.clear()
     kinds = ("ak1", "ak2")
-    ascending = {kind: [intertwine._row(kind, n) for n in range(121)] for kind in kinds}
+    ascending = {kind: [intertwine.psi_row(kind, n) for n in range(121)] for kind in kinds}
     intertwine._ROWS.clear()
     for kind in kinds:
         for n in (120, 40, 80, 100, 7):
-            assert intertwine._row(kind, n) == ascending[kind][n]
+            assert intertwine.psi_row(kind, n) == ascending[kind][n]
         assert sorted(intertwine._ROWS[kind]) == [0, 7, 40, 80, 100, 120]
 
 
@@ -88,7 +88,7 @@ def test_cold_row_memory_is_one_row_deep():
     intertwine._ROWS.clear()
     tracemalloc.start()
     try:
-        intertwine._row("ak2", 500)
+        intertwine.psi_row("ak2", 500)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -32,7 +32,7 @@ def test_every_traced_name_resolves():
 
 
 # Runs in a fresh interpreter: install patches Polynomial for the rest of
-# the process.  Prints the two exit codes and the traced counters.
+# the process.  Prints the three exit codes and the traced counters.
 _TRACED_RUN = """
 import contextlib, importlib.util, io, json, sys
 import kravchuk_identities, kravchuk_identities.cli
@@ -42,7 +42,7 @@ spec.loader.exec_module(tracer)
 t = tracer.install(kravchuk_identities)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [kravchuk_identities.cli.run(argv) for argv in
-             (["conjecture", "3", "--max-n", "2"], ["poly", "8"])]
+             (["conjecture", "3", "--max-n", "2"], ["poly", "8"], ["discriminant-demo"])]
 print(json.dumps({"codes": codes, "counts": t.summary()["counts"]}))
 """
 
@@ -59,7 +59,7 @@ def test_tracer_reads_polynomial_internals():
     )
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout)
-    assert result["codes"] == [1, 0]
+    assert result["codes"] == [1, 0, 0]
     counts = result["counts"]
     for name in (
         "poly.mul.term_products",
