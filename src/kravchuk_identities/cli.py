@@ -542,10 +542,7 @@ def _run_conjecture(which: int, max_n):
         return [identities.conjecture1(n) for n in range(2, max_n + 1)]
     if which == 2:
         return [identities.conjecture2(n) for n in range(2, max_n + 1)]
-    reports = []
-    for n in range(1, max_n + 1):
-        reports.extend(identities.conjecture3(n))
-    return reports
+    return identities.conjecture3(max_n)
 
 
 def main():

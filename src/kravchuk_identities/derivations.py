@@ -100,7 +100,7 @@ def dixmier_sigma(D, i: int) -> Sigma:
     x0 = Polynomial.var(xvar(0))
     dx1 = D(1)
     # -1/c, the constant ratio of -x0 to D(x1), if D(x1) has one.
-    inverse = None if dx1.is_zero else constant_ratio(-x0, dx1)
+    inverse = constant_ratio(-x0, dx1)
     if inverse is None or not D(0).is_zero:
         raise ValueError(f"sigma needs D(x0) = 0 and D(x1) = c*x0, c != 0 ({D.__name__})")
     y = Polynomial.var(xvar(1)) * inverse  # lambda x0

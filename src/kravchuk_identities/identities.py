@@ -7,7 +7,7 @@ plus a constant ratio whenever the two sides are proportional.
 """
 
 import time
-from functools import lru_cache, reduce
+from functools import reduce
 from math import factorial, prod
 from operator import mul
 from types import SimpleNamespace
@@ -65,14 +65,6 @@ def _classification(image: Polynomial) -> str:
     return ONLY_A if A in variables else CONSTANT
 
 
-def proportional(lhs: Polynomial, rhs: Polynomial) -> Polynomial | None:
-    """Constant c with lhs = c * rhs, as a constant Polynomial, or None; 1
-    when both are zero."""
-    if rhs.is_zero:
-        return Polynomial.one() if lhs.is_zero else None
-    return constant_ratio(lhs, rhs)
-
-
 def _report(
     check_id: str,
     n: int | None,
@@ -84,7 +76,7 @@ def _report(
     """The report comparing image with expected, timed from start (a
     time.perf_counter() value); with no expected side there is no verdict,
     and otherwise it is Verified exactly when the ratio is 1."""
-    ratio = None if expected is None else proportional(image, expected)
+    ratio = None if expected is None else constant_ratio(image, expected)
     verdict = None if expected is None else VERIFIED if ratio == 1 else REFUTED
     return IdentityReport(
         check_id=check_id,
@@ -194,33 +186,9 @@ def discriminant_identity() -> IdentityReport:
     return report
 
 
-# (var, s) -> (m, R_m, F_(m-1)) for the stated side last asked for (see
-# _c3_stated), so a sweep over n grows each product by one factor per n.
-_stated: dict = {}
-
-
-def _c3_stated(n: int, c: int, var: int, s: int) -> Polynomial:
-    """The stated right side of conjecture 3 at n:
-    (-1)^(n(n+1)/2) c prod_{i<n-1} (v + s i)^(n-1-i) with v = var.  The
-    product is R_n = F_1 F_2 ... F_(n-1) with F_m = prod_{i<m} (v + s i),
-    stepped up from the kept one by F_m = F_(m-1) (v + s(m-1)) and
-    R_(m+1) = R_m F_m; a request below it starts again from R_1 = F_0 = 1."""
-    v = Polynomial.var(var)
-    m, r, f = _stated.get((var, s), (n + 1, None, None))
-    if m > n:
-        m, r, f = 1, Polynomial.one(), Polynomial.one()
-    while m < n:
-        f = f * (v + s * (m - 1))
-        r = r * f
-        m += 1
-    _stated[var, s] = m, r, f
-    return r * ((-1) ** (n * (n + 1) // 2) * c)
-
-
 class _Chebyshev:
     """The Chebyshev algorithm (Gautschi, Orthogonal Polynomials, 2004,
-    sec. 2.1.7) on the moments mu_l = moment(l), grown in place one n at a
-    time and never restarted.
+    sec. 2.1.7) on the moments mu_l = moment(l), grown one n at a time.
 
     sigma[k, l] = sigma_{k,l}, with sigma_{0,l} = mu_l, each moment asked
     for once.  alpha[k] = ratios[k] - ratios[k-1] with ratios[k] =
@@ -252,8 +220,7 @@ class _Chebyshev:
         m = len(self.dets)
         sigma, alpha, beta, ratios = self.sigma, self.alpha, self.beta, self.ratios
         for l in range(max(2 * m - 1, 0), 2 * m + 1):
-            if (0, l) not in sigma:
-                sigma[0, l] = self.moment(l)
+            sigma[0, l] = self.moment(l)
         if not m:
             self.dets.append(sigma[0, 0])
             return
@@ -261,9 +228,6 @@ class _Chebyshev:
             for l in (2 * m - k - 1, 2 * m - k):
                 sigma[k, l] = _sigma_entry(sigma, alpha, beta, k, l)
         j = m - 1
-        # A step cut short by an exception (say KeyboardInterrupt) may have
-        # appended these already; drop them, so that it is redone whole.
-        del ratios[j:], alpha[j:], beta[j:]
         ratios.append(exact_div(sigma[j, j + 1], sigma[j, j]))
         alpha.append(ratios[j] - ratios[j - 1] if j else ratios[0])
         beta.append(exact_div(sigma[j, j], sigma[j - 1, j - 1]) if j else sigma[0, 0])
@@ -285,57 +249,41 @@ def _sigma_entry(sigma: dict, alpha: list, beta: list, k: int, l: int) -> Polyno
 # hold (see conjecture3).
 _SLICE_VAR = {"ak1": A, "ak2": X}
 
-# slice_numerators(i) for i = 0, 1, ...: kept as long as the tables, so a
-# sweep steps the rows of i! K_i up once.
-_slices: list = []
 
-
-def moment(kind: str, l: int) -> Polynomial:
+def moment(kind: str, l: int, slices: list) -> Polynomial:
     """nu_l = phi_K(psi(x_l)) on the slice a = 2x, in the variable
     _SLICE_VAR[kind], for the psi whose rows are psi_row(kind, .): the sum
     over i of row[i] K_i at a = 2x.  With d + 1 entries in the row, each
     K_i's slice numerators (see kravchuk.slice_numerators, over 2^i i!) are
     scaled by row[i] d!/i! 2^(d-i) into one int vector over 2^d d!, which
-    is packed once; no K_i and no psi(x_l) is built.  conjecture3 keeps
-    each nu_l in row 0 of kind's table, and moment.cache_clear drops the
-    tables and the kept slice numerators."""
+    is packed once; no K_i and no psi(x_l) is built.  slices holds
+    slice_numerators(i) for i = 0, 1, ... and is extended in place as far
+    as the row needs, so the caller's sweep steps the rows of i! K_i up
+    once."""
     row = psi_row(kind, l)
     d = len(row) - 1
-    while len(_slices) <= d:
-        _slices.append(slice_numerators(len(_slices)))
+    while len(slices) <= d:
+        slices.append(slice_numerators(len(slices)))
     total = [0] * (d + 1)
     scale = 1  # d!/i! 2^(d-i)
     for i in range(d, -1, -1):
         if row[i]:
             c = row[i] * scale
-            total[: i + 1] = [t + c * u for t, u in zip(total, _slices[i])]
+            total[: i + 1] = [t + c * u for t, u in zip(total, slices[i])]
         scale = scale * i << 1
     return slice_polynomial(total, factorial(d) << d, _SLICE_VAR[kind])
 
 
-@lru_cache(maxsize=None)
-def _table(kind: str) -> _Chebyshev:
-    """The Chebyshev table of kind's slice moments."""
-    return _Chebyshev(lambda l: moment(kind, l))
-
-
-def _cache_clear():
-    _table.cache_clear()
-    _slices.clear()
-
-
-moment.cache_clear = _cache_clear
-
-
-def conjecture3(n: int) -> tuple:
-    """Both parts of the Hankel-determinant conjecture at index n, on the
-    (n+1) x (n+1) Hankel matrix H_n = [x_(i+j)].
+def conjecture3(max_n: int) -> list:
+    """Both parts of the Hankel-determinant conjecture at each index
+    n = 1..max_n, part (i) then part (ii) for each n, on the (n+1) x (n+1)
+    Hankel matrix H_n = [x_(i+j)].
 
     phi_K o psi is a ring homomorphism, so the image of det H_n is the
     Hankel determinant det[mu_(i+j)] on the moments mu_l = phi_K(psi(x_l))
     in Q[x,a]; det H_n itself is never expanded.  It equals the Hankel
     determinant det[nu_(i+j)] on the moments on the slice a = 2x (see
-    moment), read off kind's Chebyshev table, so a sweep over n computes
+    moment), read off one Chebyshev table per part, so the sweep computes
     each table entry once, in one variable:
 
     - mu_l = sum_i row_l[i] K_i, and sum_l row_l[i] z^l / l! = g(z)^i with
@@ -355,16 +303,33 @@ def conjecture3(n: int) -> tuple:
     Part (ii)'s 2^i i! product is read with the upper bound n, the only
     reading under which the image equals the products extended by one
     index (Heilermann's formula; the tests check it for n <= 20).
+
+    The stated right side at n is (-1)^(n(n+1)/2) c(n) R_n, with c(n) the
+    part's factorial product, v = a and s = 1 for part (i), v = x and
+    s = -1 for part (ii), and R_n = prod_{i<n-1} (v + s i)^(n-1-i).  R_n is
+    F_1 F_2 ... F_(n-1) with F_m = prod_{i<m} (v + s i), so each n steps
+    F_(n-1) = F_(n-2) (v + s(n-2)) and R_n = R_(n-1) F_(n-1) up from
+    R_1 = F_0 = 1.
     """
-    if n < 1:
-        raise ValueError(f"conjecture3: n must be >= 1, got {n}")
-    reports = []
+    if max_n < 1:
+        raise ValueError(f"conjecture3: max_n must be >= 1, got {max_n}")
+    slices: list = []  # shared by both parts' moments
+    parts = []
     for check_id, kind, s, c in (
-        ("conjecture3i", "ak1", 1, prod(map(factorial, range(n)))),
-        ("conjecture3ii", "ak2", -1, prod(2**i * factorial(i) for i in range(n + 1))),
+        ("conjecture3i", "ak1", 1, lambda n: prod(map(factorial, range(n)))),
+        ("conjecture3ii", "ak2", -1, lambda n: prod(2**i * factorial(i) for i in range(n + 1))),
     ):
-        start = time.perf_counter()
-        image = _table(kind).det(n)
-        expected = _c3_stated(n, c, _SLICE_VAR[kind], s)
-        reports.append(_report(check_id, n, image, expected, start))
-    return tuple(reports)
+        table = _Chebyshev(lambda l: moment(kind, l, slices))
+        v = Polynomial.var(_SLICE_VAR[kind])
+        r = f = Polynomial.one()  # R_n and F_(n-1)
+        reports = []
+        for n in range(1, max_n + 1):
+            start = time.perf_counter()
+            image = table.det(n)
+            if n > 1:
+                f = f * (v + s * (n - 2))
+                r = r * f
+            expected = r * ((-1) ** (n * (n + 1) // 2) * c(n))
+            reports.append(_report(check_id, n, image, expected, start))
+        parts.append(reports)
+    return [rep for pair in zip(*parts) for rep in pair]

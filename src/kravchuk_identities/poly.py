@@ -435,37 +435,21 @@ class Polynomial:
         derivation, and the image of one that self does not use adds nothing.
 
         Every image is scaled once to the lcm of their denominators; then
-        each term c x^m of self with exponent e of v adds c e c2 at
-        x^(m - e_v) x^m2 for each term c2 x^m2 of images[v], all into one
-        dict, with no Polynomial per derivative or per product.  As in
-        _mul_into, a set guard bit in the OR of self's keys plus the OR of
-        images[v]'s sends that variable's product keys through the overflow
-        check; a linear image cannot cancel an overflowed key within one
-        product."""
+        for each v, the terms of d(self)/dv, c e at x^(m - e_v) for each term
+        c x^m of self with exponent e of v, are multiplied by images[v] into
+        one dict through _mul_into, which checks the exponent guard, with no
+        Polynomial per derivative or per product."""
         images = [(v, q) for v, q in images.items() if q._terms and v in _SLOTS]
         den = lcm(*(q._den for _, q in images))
-        guard = GUARD  # read after the images registered their slots
-        terms = self._terms.items()
-        reach = reduce(or_, self._terms, 0)
-        mask = _FIELD_MASK
         total: dict = {}
-        get = total.get
         for v, q in images:
             shift = _SLOTS[v] * FIELD_BITS
             unit = 1 << shift
+            rows = {m - unit: c * e for m, c in self._terms.items()
+                    if (e := (m >> shift) & _FIELD_MASK)}
             scale = den // q._den
-            image = [(m2, c2 * scale) for m2, c2 in q._terms.items()]
-            # The terms of d(self)/dv, as (packed key, numerator) pairs.
-            rows = [(m - unit, c * e) for m, c in terms if (e := (m >> shift) & mask)]
-            if (reach + reduce(or_, q._terms, 0)) & guard and any(
-                (m + m2) & guard for m, _ in rows for m2, _ in image
-            ):
-                raise ExponentOverflow()
-            for m, c in rows:
-                for m2, c2 in image:
-                    key = m + m2
-                    total[key] = get(key, 0) + c * c2
-        return Polynomial._make({m: c for m, c in total.items() if c}, den * self._den)
+            _mul_into(total, rows, {m2: c2 * scale for m2, c2 in q._terms.items()})
+        return Polynomial._make(total, den * self._den)
 
     def __repr__(self):
         return f"Polynomial({render_text(self)})"
@@ -633,10 +617,11 @@ def binom_poly(arg: Polynomial, i: int) -> Polynomial:
 
 def constant_ratio(p: Polynomial, q: Polynomial) -> Polynomial | None:
     """The constant c with p = c q, as a constant Polynomial, or None if
-    there is none; q must be nonzero.  It exists when p and q have the same
-    monomials and proportional numerators, checked by cross-multiplying."""
+    there is none; 1 when p and q are both zero.  For a nonzero q it exists
+    when p and q have the same monomials and proportional numerators,
+    checked by cross-multiplying."""
     if q.is_zero:
-        raise ZeroDivisionError("constant_ratio by zero polynomial")
+        return Polynomial.one() if p.is_zero else None
     if p.is_zero:
         return Polynomial.zero()
     pt, qt = p._terms, q._terms

@@ -223,12 +223,14 @@ def test_criterion_09_conjecture_sweeps():
             assert rep.verdict == VERIFIED
             if n % 2 == 1:
                 assert rep.image.is_zero
-        for n in range(1, 5):
-            rep_i, rep_ii = conjecture3(n)
-            for rep in (rep_i, rep_ii):
-                rec = rep.to_record()
-                assert rec["verdict"] in (VERIFIED, REFUTED)
-                assert rec["lhs_canonical"] and rec["rhs_canonical"]
+        reports = conjecture3(4)
+        assert [(rep.check_id, rep.n) for rep in reports] == [
+            (check_id, n) for n in range(1, 5) for check_id in ("conjecture3i", "conjecture3ii")
+        ]
+        for rep in reports:
+            rec = rep.to_record()
+            assert rec["verdict"] in (VERIFIED, REFUTED)
+            assert rec["lhs_canonical"] and rec["rhs_canonical"]
 
     _gate(9, "conjecture sweeps 1-2 (n <= 10) and 3 (n <= 4)", 300.0, check)
 

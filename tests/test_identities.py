@@ -30,7 +30,6 @@ from kravchuk_identities.identities import (
     discriminant_identity,
     discriminant_matrix,
     phi_k,
-    proportional,
 )
 from kravchuk_identities.intertwine import psi_ak1, psi_ak2
 from kravchuk_identities.kravchuk import kravchuk
@@ -39,6 +38,7 @@ from kravchuk_identities.poly import (
     X,
     Polynomial,
     binom_poly,
+    constant_ratio,
     determinant,
     exact_div,
     generators,
@@ -77,19 +77,19 @@ def test_phi_k_rejects_reserved_vars():
 
 
 def test_proportional():
-    assert proportional(2 * a, a) == 2
-    assert proportional(Polynomial.zero(), a) == 0
-    assert proportional(a, a + 1) is None
-    assert proportional(Polynomial.zero(), Polynomial.zero()) == 1
+    assert constant_ratio(2 * a, a) == 2
+    assert constant_ratio(Polynomial.zero(), a) == 0
+    assert constant_ratio(a, a + 1) is None
+    assert constant_ratio(Polynomial.zero(), Polynomial.zero()) == 1
     # the same monomials with numerators that are not proportional
-    assert proportional(a + 2, a + 1) is None
-    ratio = proportional(-a / 3 + x, 2 * a - 6 * x)
+    assert constant_ratio(a + 2, a + 1) is None
+    ratio = constant_ratio(-a / 3 + x, 2 * a - 6 * x)
     assert ratio == Fraction(-1, 6) and str(ratio) == "-1/6"
 
 
 def test_verdict_is_verified_exactly_when_ratio_is_one():
     reports = [check(n) for check in (conjecture1, conjecture2) for n in range(2, 21)]
-    reports += [rep for n in range(1, 9) for rep in conjecture3(n)]
+    reports += conjecture3(8)
     reports.append(discriminant_identity())
     p = x1**2 - 2 * x2 * x0  # phi_K(p) = a
     # equal, proportional, zero and both-zero expected sides
@@ -308,9 +308,15 @@ def test_conjecture3_n1():
     assert rep_ii.image == -2 * x == _heilermann(_lambda_ii, 1)
 
 
+def _by_n(reports):
+    """(n, part (i), part (ii)) for each n of a conjecture3 sweep."""
+    pairs = list(zip(reports[::2], reports[1::2]))
+    assert [(i.n, ii.n) for i, ii in pairs] == [(n, n) for n in range(1, len(pairs) + 1)]
+    return [(n, i, ii) for n, (i, ii) in enumerate(pairs, 1)]
+
+
 def test_conjecture3_small_sweep():
-    for n in range(2, 7):
-        rep_i, rep_ii = conjecture3(n)
+    for n, rep_i, rep_ii in _by_n(conjecture3(6))[1:]:
         assert rep_i.verdict == REFUTED
         assert rep_i.image == _heilermann(_lambda_i, n)
         assert rep_i.classification == ONLY_A
@@ -321,9 +327,8 @@ def test_conjecture3_small_sweep():
 
 def test_conjecture3_matches_expanded_route():
     # phi_K(psi(det H_n)) with det H_n expanded over x_0..x_2n first
-    for n in range(1, 4):
-        images = tuple(rep.image for rep in conjecture3(n))
-        assert images == conjecture3_expanded(n)
+    for n, rep_i, rep_ii in _by_n(conjecture3(3)):
+        assert (rep_i.image, rep_ii.image) == conjecture3_expanded(n)
 
 
 def test_conjecture3_runtime_counts_the_shared_determinant(monkeypatch):
@@ -335,7 +340,6 @@ def test_conjecture3_runtime_counts_the_shared_determinant(monkeypatch):
         return sigma_entry(*args)
 
     monkeypatch.setattr(identities, "_sigma_entry", slow_sigma_entry)
-    identities.moment.cache_clear()
     for rep in conjecture3(1):
         assert rep.runtime_ms >= 50
 
@@ -349,22 +353,20 @@ def test_conjecture3_sweep_computes_each_sigma_once(monkeypatch):
         return sigma_entry(sigma, alpha, beta, k, l)
 
     monkeypatch.setattr(identities, "_sigma_entry", counting_sigma_entry)
-    identities.moment.cache_clear()
-    for n in range(1, 7):
-        conjecture3(n)
+    conjecture3(6)
     # sigma_{6,6} needs rows 1..6 up to l = 12 - k, and nothing past them
     expected = {(k, l) for k in range(1, 7) for l in range(k, 13 - k)}
-    for kind in ("ak1", "ak2"):
-        table = id(identities._table(kind).sigma)
-        assert {(k, l): c for (t, k, l), c in calls.items() if t == table} == dict.fromkeys(
-            expected, 1
-        )
+    by_table = {}
+    for (t, k, l), c in calls.items():
+        by_table.setdefault(t, {})[k, l] = c
+    # one table per part
+    assert list(by_table.values()) == [dict.fromkeys(expected, 1)] * 2
     assert sum(calls.values()) == 2 * len(expected)
 
 
-def test_conjecture3_table_survives_an_interrupted_step(monkeypatch):
+def test_conjecture3_runs_whole_after_an_interrupted_sweep(monkeypatch):
     # an exception after a step has appended alpha and beta, but before its
-    # running product, must not leave the table misaligned for the next call
+    # running product, leaves nothing behind that the next sweep reads
     sigma_entry = identities._sigma_entry
     armed = [True]
 
@@ -375,37 +377,63 @@ def test_conjecture3_table_survives_an_interrupted_step(monkeypatch):
         return sigma_entry(sigma, alpha, beta, k, l)
 
     monkeypatch.setattr(identities, "_sigma_entry", interrupted_sigma_entry)
-    identities.moment.cache_clear()
     with pytest.raises(RuntimeError, match="interrupted"):
         conjecture3(5)
-    for n in range(1, 6):
-        for rep, lam in zip(conjecture3(n), (_lambda_i, _lambda_ii)):
+    for n, *reps in _by_n(conjecture3(5)):
+        for rep, lam in zip(reps, (_lambda_i, _lambda_ii)):
             assert rep.image == _heilermann(lam, n)
+
+
+def test_conjecture3_sweep_leaves_no_module_state(monkeypatch):
+    # a sweep holds its tables, slice numerators and stated sides itself,
+    # so neither a whole sweep nor one cut short leaves any of them behind
+    def module_state():
+        return {
+            name: value.copy()
+            for name, value in vars(identities).items()
+            if not name.startswith("__") and isinstance(value, (list, dict))
+        }
+
+    before = module_state()
+    conjecture3(4)
+    assert module_state() == before
+    sigma_entry = identities._sigma_entry
+
+    def interrupted_sigma_entry(sigma, alpha, beta, k, l):
+        if k == l == 3:
+            raise RuntimeError("interrupted")
+        return sigma_entry(sigma, alpha, beta, k, l)
+
+    monkeypatch.setattr(identities, "_sigma_entry", interrupted_sigma_entry)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        conjecture3(4)
+    assert module_state() == before
 
 
 def test_conjecture3_is_the_laplace_hankel_determinant():
     # the memoized Laplace expansion of det[phi_K(psi(x_(i+j)))] in Q[x, a]
-    for n in range(1, 7):
-        for psi, rep in zip((psi_ak1, psi_ak2), conjecture3(n)):
+    for n, *reps in _by_n(conjecture3(6)):
+        for psi, rep in zip((psi_ak1, psi_ak2), reps):
             h = hankel([bivariate_moment(psi, k) for k in range(2 * n + 1)])
             assert rep.image == determinant(h)
 
 
 def test_slice_moments_are_the_bivariate_moments_at_a_2x():
     # nu_l = mu_l(a = 2x), read in a for psi_AK1 and in x for psi_AK2
+    slices = []
     for kind, psi, on_slice in (
         ("ak1", psi_ak1, {X: a / 2, A: a}),
         ("ak2", psi_ak2, {X: x, A: 2 * x}),
     ):
         for l in range(17):
             mu = bivariate_moment(psi, l)
-            assert identities.moment(kind, l) == mu.substitute(on_slice), (kind, l)
+            assert identities.moment(kind, l, slices) == mu.substitute(on_slice), (kind, l)
 
 
 def test_bivariate_moments_are_the_slice_moments_shifted_by_k1():
     # mu_l = sum_k C(l,k) (a - 2x)^(l-k) nu_k, from e^((a-2x) z) F(z)
     for kind, psi in (("ak1", psi_ak1), ("ak2", psi_ak2)):
-        nu = [identities.moment(kind, l) for l in range(17)]
+        nu = [identities.moment(kind, l, []) for l in range(17)]
         assert binomial_shift(nu, a - 2 * x) == [bivariate_moment(psi, l) for l in range(17)]
 
 
@@ -429,12 +457,7 @@ def test_conjecture3_sweep_reads_each_slice_once(monkeypatch):
         return slice_numerators(n)
 
     monkeypatch.setattr(identities, "slice_numerators", counting_slice_numerators)
-    identities.moment.cache_clear()
-    try:
-        for n in range(1, 5):
-            conjecture3(n)
-    finally:
-        identities.moment.cache_clear()
+    conjecture3(4)
     assert calls == list(range(9))
 
 
@@ -450,16 +473,24 @@ def test_chebyshev_table_on_moments_with_a_factor():
         assert table.det(n) == determinant(h)
 
 
-def test_conjecture3_recurrence_closed_forms():
+def test_conjecture3_recurrence_closed_forms(monkeypatch):
     # the J-fraction of the moments: b_k = alpha_k, lambda_k = beta_k, on
     # the bivariate moments and on the slice a = 2x, where only alpha_k
     # changes (by the shift a - 2x)
+    tables = []
+
+    class RecordedChebyshev(identities._Chebyshev):
+        def __init__(self, moment):
+            super().__init__(moment)
+            tables.append(self)
+
+    monkeypatch.setattr(identities, "_Chebyshev", RecordedChebyshev)
     conjecture3(20)
+    s_i, s_ii = tables
     t_i, t_ii = (
         identities._Chebyshev(lambda l, psi=psi: bivariate_moment(psi, l))
         for psi in (psi_ak1, psi_ak2)
     )
-    s_i, s_ii = (identities._table(kind) for kind in ("ak1", "ak2"))
     for t in (t_i, t_ii):
         t.det(20)
     assert t_i.beta[0] == t_ii.beta[0] == s_i.beta[0] == s_ii.beta[0] == 1
@@ -474,16 +505,15 @@ def test_conjecture3_recurrence_closed_forms():
 
 
 def test_conjecture3_shifted_products_through_20():
-    for n in range(1, 21):
-        for rep, lam in zip(conjecture3(n), (_lambda_i, _lambda_ii)):
+    for n, *reps in _by_n(conjecture3(20)):
+        for rep, lam in zip(reps, (_lambda_i, _lambda_ii)):
             assert rep.verdict == REFUTED
             assert rep.image == _heilermann(lam, n)
 
 
 def test_conjecture3_stated_side_through_20():
     # the paper's products as printed, and the factor the image has beyond them
-    for n in range(1, 21):
-        rep_i, rep_ii = conjecture3(n)
+    for n, rep_i, rep_ii in _by_n(conjecture3(20)):
         sign = (-1) ** (n * (n + 1) // 2)
         stated_i = Polynomial.constant(sign * prod(factorial(i) for i in range(n)))
         stated_ii = Polynomial.constant(sign * prod(2**i * factorial(i) for i in range(n + 1)))
@@ -513,30 +543,21 @@ def test_conjecture3_inexact_division_raises(monkeypatch):
 
     monkeypatch.setattr(identities, "psi_row", fake_psi_row)
     monkeypatch.setattr(identities, "determinant", no_determinant)
-    identities.moment.cache_clear()
-    assert identities.moment("ak1", 0) == 1 - a / 2
-    try:
-        with pytest.raises(ValueError, match="not exact"):
-            conjecture3(1)
-    finally:
-        identities.moment.cache_clear()
+    assert identities.moment("ak1", 0, []) == 1 - a / 2
+    with pytest.raises(ValueError, match="not exact"):
+        conjecture3(1)
 
 
 def test_conjecture3_sweep_expands_each_moment_once(monkeypatch):
     calls = []
     moment = identities.moment
 
-    def counting_moment(kind, l):
+    def counting_moment(kind, l, slices):
         calls.append((kind, l))
-        return moment(kind, l)
+        return moment(kind, l, slices)
 
     monkeypatch.setattr(identities, "moment", counting_moment)
-    moment.cache_clear()
-    try:
-        for n in range(1, 5):
-            conjecture3(n)
-    finally:
-        moment.cache_clear()
+    conjecture3(4)
     # entries 0..8 of each part's Hankel matrices, once each
     assert len(calls) == 2 * 9
 
