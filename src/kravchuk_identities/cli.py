@@ -58,6 +58,7 @@ class _Parser:
         self.tokens = _TOKEN.findall(text) + [""]
         self.index = 0
         self.depth = 0
+        self.fresh = True  # until the first new generator
 
     def _error(self, message: str, index: int = 0, offset: int | None = None) -> ParseError:
         """A ParseError at the 1-based line and column of offset, by default
@@ -165,6 +166,15 @@ class _Parser:
                 code = xvar(index)
             except ValueError as exc:
                 raise self._error(str(exc), i) from None
+            if self.fresh:
+                # The input's first new generator: register them all, highest
+                # index first (see poly).  An index of 10 or more digits
+                # (leading zeros, or out of range) is left to its own token.
+                self.fresh = False
+                new = {int(t[1:]): t for t in set(tokens).difference(_VARS)
+                       if 1 < len(t) < 11 and t[0] == "x"}
+                for k in sorted(new, reverse=True):
+                    _VARS[new[k]] = (poly.var_key(k), 1, 1)
             atom = _VARS[token] = (poly.var_key(code), 1, 1)
         self.index = i + 1
         return atom
@@ -410,30 +420,28 @@ def parse_args(argv):
     return SimpleNamespace(**values)
 
 
-def _report_lines(reports, fmt: str) -> str:
+def _write_reports(out, reports, fmt: str) -> None:
+    """Writes the reports to the text stream out: JSON as one document, text
+    and LaTeX one block per report, each written as soon as it is rendered."""
     if fmt == "json":
         import json  # only --format json loads it
 
-        return json.dumps([r.to_record() for r in reports], indent=2)
-    lines = []
+        out.write(json.dumps([r.to_record() for r in reports], indent=2) + "\n")
+        return
     for r in reports:
         if fmt == "latex":
             lhs = render_latex(r.image)
             rhs = render_latex(r.expected) if r.expected is not None else "?"
-            lines.append(
-                f"% {r.check_id} n={r.n} {r.verdict}\n"
-                f"{lhs} \\stackrel{{?}}{{=}} {rhs}"
-            )
+            out.write(f"% {r.check_id} n={r.n} {r.verdict}\n{lhs} \\stackrel{{?}}{{=}} {rhs}\n")
         else:
             rec = r.to_record()
             extra = ""
             if r.verdict == identities.REFUTED and r.ratio is not None:
                 extra = f" (proportional, ratio {r.ratio})"
-            lines.append(
+            out.write(
                 f"{rec['check_id']} n={rec['n']}: {rec['verdict']}{extra}\n"
-                f"  lhs = {rec['lhs_canonical']}\n  rhs = {rec['rhs_canonical']}"
+                f"  lhs = {rec['lhs_canonical']}\n  rhs = {rec['rhs_canonical']}\n"
             )
-    return "\n".join(lines)
 
 
 def run(argv) -> int:
@@ -509,12 +517,11 @@ def _dispatch(args) -> int:
         return 0 if report.verdict == identities.VERIFIED else 1
     if cmd == "conjecture":
         reports = _run_conjecture(args.which, args.max_n)
-        text = _report_lines(reports, args.format)
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+                _write_reports(fh, reports, args.format)
         else:
-            print(text)
+            _write_reports(sys.stdout, reports, args.format)
         return 0 if all(r.verdict == identities.VERIFIED for r in reports) else 1
     if cmd == "discriminant-demo":
         report = identities.discriminant_identity()

@@ -9,9 +9,14 @@ the unit monomial.
 
 Inside, a monomial is one packed int: every variable owns a FIELD_BITS-bit
 field, and the exponent of the variable in slot s sits at bit
-s * FIELD_BITS.  Slots are handed out in order of first use (x and a
-first), so the width of a key follows how many distinct variables the
-process has used, not the value of an index.  The top bit of each field is
+s * FIELD_BITS.  Slots are handed out on first use, so the width of a key
+follows how many distinct variables the process has used, not the value of
+an index.  They are handed out against code order where the code can: a
+takes slot 0 and x slot 1 at import, and the parser and Polynomial.linear
+register the new generators of an input highest index first.  Rendering
+relies on this only through a check made once per polynomial (see
+_sorted_terms): when its variables' slots descend as their codes ascend,
+its keys sort in canonical order themselves.  The top bit of each field is
 a guard bit that every stored exponent leaves clear, so the product of two
 monomials is the sum of their keys, with no carry between fields, and an
 exponent that reaches EXPONENT_LIMIT raises ExponentOverflow.
@@ -80,6 +85,10 @@ class DigitOverflow(ValueError):
 # packed key stays valid for the life of the process.
 _CODES: list = []  # slot -> variable code
 _SLOTS: dict = {}  # variable code -> slot
+# slot -> name of the variable, in text and in LaTeX, filled up to the
+# last slot when a render needs it
+_NAMES: list = []
+_LATEX_NAMES: list = []
 # The guard bit of every registered field: the live mask, which gains a bit
 # with each new slot, so read it as poly.GUARD after the keys it tests were
 # made, not through a name bound at import.
@@ -174,10 +183,10 @@ def _rational(value):
     return None
 
 
-# x and a take the first two slots, so a polynomial in x and a alone has
-# keys below 2^32.
-_slot(X)
+# a and x take the first two slots, so a polynomial in x and a alone has
+# keys below 2^32, and its slots descend as its codes ascend.
 _slot(A)
+_slot(X)
 
 
 class Polynomial:
@@ -225,8 +234,15 @@ class Polynomial:
     @classmethod
     def linear(cls, coeffs: dict, den: int = 1) -> "Polynomial":
         """The linear form sum_i coeffs[i] x_i / den, from {generator index:
-        int numerator} over den > 0; zero coefficients are skipped."""
-        return cls._make({var_key(xvar(i)): c for i, c in coeffs.items() if c}, den)
+        int numerator} over den > 0; zero coefficients are skipped.  New
+        generators are registered highest index first."""
+        for i in sorted(coeffs, reverse=True):
+            if coeffs[i]:
+                _slot(xvar(i))
+        # Built in the callers' ascending order, whose first coefficients
+        # shrink the gcd in _make at once: built highest index first,
+        # D_K2(x10000) took 0.6 s longer.
+        return cls._make({var_key(i): c for i, c in coeffs.items() if c}, den)
 
     @classmethod
     def from_xa_rows(cls, rows, den: int) -> "Polynomial":
@@ -508,29 +524,85 @@ def _too_long(n: int) -> bool:
     return n.bit_length() > _DIGIT_BITS and abs(n) >= 10**DIGIT_LIMIT
 
 
-def _sorted_terms(p: Polynomial) -> list:
-    """(sort key, tuple monomial as a list, numerator, denominator) rows of
-    p in canonical order: degree descending, then ascending lexicographic
-    comparison of the exponent vector over p's variables in the order
-    x0 < x1 < ... < x < a.  Each coefficient is in lowest terms, the sign on
-    its numerator, as it is printed; one with a numerator or denominator
-    past DIGIT_LIMIT digits raises DigitOverflow before any text is built.
+def _latex_name(code: int) -> str:
+    return f"x_{{{code}}}" if code < X else var_name(code)
 
-    Each key is decoded once, lowest field first, into both the (code,
-    exponent) pairs and the sort key: the exponents re-packed with p's
-    variables in code order, the first most significant, below the negated
-    degree."""
-    den = p._den
-    codes = sorted(p.variables())
-    width = FIELD_BITS * len(codes)
-    shift = {_SLOTS[v]: width - FIELD_BITS * (i + 1) for i, v in enumerate(codes)}
+
+def _sorted_terms(p: Polynomial, fmt: tuple) -> list:
+    """(monomial, numerator, denominator) rows of p in canonical order:
+    degree descending, then ascending lexicographic comparison of the
+    exponent vector over p's variables in the order x0 < x1 < ... < x < a.
+    With fmt = (names, name, open_, close), a monomial is its list of
+    fragments in code order: names[slot] for an exponent of 1 and
+    names[slot] + open_ + str(e) + close for an exponent e > 1, where names
+    caches name(code) by slot.  Each coefficient is in lowest terms, the
+    sign on its numerator, as it is printed; one with a numerator or
+    denominator past DIGIT_LIMIT digits raises DigitOverflow before any
+    text is built.
+
+    One decode of the OR of p's keys checks whether p's slots descend as
+    its codes ascend, so that its keys compare as its exponent vectors do,
+    and whether the sum of the OR's fields, which bounds every degree, is
+    below 0xFFFF, so that a key's degree is key % 0xFFFF (2^16 is 1 modulo
+    0xFFFF).  If both hold, the keys sort by (-degree, key), and each is
+    decoded once, lowest field first, into fragments that are then
+    reversed.  Any other p sorts by a second key built in the same decode:
+    the exponents re-packed with p's variables in code order, the first
+    most significant, below the negated degree."""
+    names, name, open_, close = fmt
+    if len(names) < len(_CODES):
+        names.extend(map(name, _CODES[len(names):]))
+    terms, den = p._terms, p._den
+    # Only then can a coefficient in lowest terms be too long.
+    check = terms and (_too_long(den) or _too_long(max(max(terms.values()), -min(terms.values()))))
+    m = reduce(or_, terms, 0)
+    fields = []  # (code, slot) of p's variables, lowest slot first
+    ordered = True
+    bound = slot = 0
+    code = A + 1  # above every code
+    while m:
+        skip = ((m & -m).bit_length() - 1) // FIELD_BITS
+        m >>= skip * FIELD_BITS
+        slot += skip
+        ordered = ordered and _CODES[slot] < code
+        code = _CODES[slot]
+        fields.append((code, slot))
+        bound += m & _FIELD_MASK
+        m >>= FIELD_BITS
+        slot += 1
     rows = []
-    for m, c in p._terms.items():
+    if ordered and bound < _FIELD_MASK:
+        keys = sorted(terms)
+        keys.sort(key=_FIELD_MASK.__rmod__, reverse=True)  # stable: degree descending
+        for m in keys:
+            c, d = terms[m], den
+            if d != 1:
+                g = gcd(c, d)
+                c, d = c // g, d // g
+            if check and (_too_long(c) or _too_long(d)):
+                raise DigitOverflow()
+            fragments = []
+            slot = 0
+            while m:
+                skip = ((m & -m).bit_length() - 1) // FIELD_BITS
+                m >>= skip * FIELD_BITS
+                slot += skip
+                e = m & _FIELD_MASK
+                fragments.append(names[slot] if e == 1 else f"{names[slot]}{open_}{e}{close}")
+                m >>= FIELD_BITS
+                slot += 1
+            fragments.reverse()
+            rows.append((fragments, c, d))
+        return rows
+    fields.sort()
+    width = FIELD_BITS * len(fields)
+    shift = {slot: width - FIELD_BITS * (i + 1) for i, (_, slot) in enumerate(fields)}
+    for m, c in terms.items():
         d = den
         if d != 1:
             g = gcd(c, d)
             c, d = c // g, d // g
-        if _too_long(c) or _too_long(d):
+        if check and (_too_long(c) or _too_long(d)):
             raise DigitOverflow()
         pairs = []
         key = degree = slot = 0
@@ -539,15 +611,15 @@ def _sorted_terms(p: Polynomial) -> list:
             m >>= skip * FIELD_BITS
             slot += skip
             e = m & _FIELD_MASK
-            pairs.append((_CODES[slot], e))
+            pairs.append((shift[slot], names[slot] if e == 1 else f"{names[slot]}{open_}{e}{close}"))
             key += e << shift[slot]
             degree += e
             m >>= FIELD_BITS
             slot += 1
-        pairs.sort()
-        rows.append(((-degree << width) + key, pairs, c, d))
+        pairs.sort(reverse=True)
+        rows.append(((-degree << width) + key, [f for _, f in pairs], c, d))
     rows.sort()
-    return rows
+    return [row[1:] for row in rows]
 
 
 def _coeff_text(num: int, den: int, frac: str = "{}/{}") -> str:
@@ -555,15 +627,16 @@ def _coeff_text(num: int, den: int, frac: str = "{}/{}") -> str:
     return str(num) if den == 1 else frac.format(num, den)
 
 
-def _render(p: Polynomial, monomial, frac: str, glue: str) -> str:
-    """The terms of p in canonical order, joined by " + " and " - ": monomial(m)
-    writes a monomial, frac.format(num, den) a non-integer coefficient, and glue
+def _render(p: Polynomial, fmt: tuple, sep: str, frac: str, glue: str) -> str:
+    """The terms of p in canonical order, joined by " + " and " - ": the
+    fragments of a monomial, written by fmt (see _sorted_terms), are joined
+    by sep, frac.format(num, den) writes a non-integer coefficient, and glue
     goes between the two; a coefficient of 1 before a monomial is left out."""
     if p.is_zero:
         return "0"
     parts = []
-    for _, m, c, d in _sorted_terms(p):
-        mono = monomial(m)
+    for fragments, c, d in _sorted_terms(p, fmt):
+        mono = sep.join(fragments)
         sign = " - " if c < 0 else " + "
         if mono and d == 1 and abs(c) == 1:
             parts.append(sign + mono)
@@ -574,29 +647,29 @@ def _render(p: Polynomial, monomial, frac: str, glue: str) -> str:
     return "".join(parts)
 
 
-def _text_monomial(m) -> str:
-    return "*".join([f"{var_name(v)}^{e}" if e > 1 else var_name(v) for v, e in m])
-
-
-def _latex_monomial(m) -> str:
-    return "".join([(f"x_{{{v}}}" if v < X else "x" if v == X else "a")
-                    + (f"^{{{e}}}" if e > 1 else "") for v, e in m])
+_TEXT = (_NAMES, var_name, "^", "")
+_LATEX = (_LATEX_NAMES, _latex_name, "^{", "}")
 
 
 def render_text(p: Polynomial) -> str:
-    return _render(p, _text_monomial, "{}/{}", "*")
+    return _render(p, _TEXT, "*", "{}/{}", "*")
 
 
 def render_latex(p: Polynomial) -> str:
-    return _render(p, _latex_monomial, "\\frac{{{}}}{{{}}}", "\\,")
+    return _render(p, _LATEX, "", "\\frac{{{}}}{{{}}}", "\\,")
 
 
 def to_json_terms(p: Polynomial) -> list:
-    """Stable JSON term list: [{"coeff": "p/q", "monomial": {...}}]."""
-    return [
-        {"coeff": _coeff_text(c, d), "monomial": {var_name(v): e for v, e in m}}
-        for _, m, c, d in _sorted_terms(p)
-    ]
+    """Stable JSON term list: [{"coeff": "p/q", "monomial": {...}}], each
+    monomial read back off its text fragments."""
+    rows = []
+    for fragments, c, d in _sorted_terms(p, _TEXT):
+        monomial = {}
+        for f in fragments:
+            v, _, e = f.partition("^")
+            monomial[v] = int(e) if e else 1
+        rows.append({"coeff": _coeff_text(c, d), "monomial": monomial})
+    return rows
 
 
 # -- binomial polynomials ----------------------------------------------

@@ -630,7 +630,7 @@ def test_module_entry_point_closed_stdout_exits_2(n):
 
 
 def test_module_entry_point_out_of_memory_exits_2():
-    # D(x10000) for D_K2 peaks near 465 MB; under a 120 MB address space it
+    # D(x10000) for D_K2 peaks near 280 MB; under a 120 MB address space it
     # runs out of memory, which is an error (exit 2), not "refuted" (exit 1).
     resource = pytest.importorskip("resource")
     limit = 120 * 1024 * 1024

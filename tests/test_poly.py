@@ -661,45 +661,121 @@ def test_exponent_limit():
     assert issubclass(ExponentOverflow, ValueError)
 
 
-# Runs in a fresh interpreter, so that the variables take their slots in the
-# order given on the command line.
+# Runs in a fresh interpreter, so that x2, x5 and x7 take their slots in the
+# order given on the command line; each input is then parsed and rendered.
 _RENDER_AFTER = """
 import json, sys
+from kravchuk_identities.cli import parse_expr
 from kravchuk_identities.poly import *
-for i in map(int, sys.argv[1:]):
-    Polynomial.var(xvar(i))
-x2, x5, x = Polynomial.var(2), Polynomial.var(5), Polynomial.var(X)
-p = 3 * x5**2 * x2 - x2**3 + x5 * x2 * x / 2 - x5 + 7
-print(render_text(p), render_latex(p), json.dumps(to_json_terms(p)), sep="\\n")
+for i in sys.argv[1].split(","):
+    Polynomial.var(xvar(int(i)))
+for text in sys.argv[2:]:
+    p = parse_expr(text)
+    print(render_text(p), render_latex(p), json.dumps(to_json_terms(p)), sep="\\n")
 """
 
+# Slots of x2, x5 and x7 that descend as their codes ascend (the order a
+# parse gives them), that ascend, and two that interleave; x and a hold the
+# slots below them.  Rendering sorts the first by the packed keys themselves
+# and the others by re-packed keys, unless a degree bound reaches 0xFFFF.
+_SLOT_ORDERS = ("7,5,2", "2,5,7", "5,2,7", "2,7,5")
 
-def test_render_does_not_depend_on_slot_order():
-    outputs = [
-        subprocess.run(
-            [sys.executable, "-c", _RENDER_AFTER, *order],
-            capture_output=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-            timeout=60,
-        ).stdout
-        for order in (["5", "2"], ["2", "5"])
-    ]
-    assert outputs[0] == outputs[1]
-    assert outputs[0].decode().splitlines() == [
+# input -> its text, LaTeX and JSON lines.
+_RENDERED = {
+    "3*x5^2*x2 - x2^3 + 1/2*x5*x2*x - x5 + 7": [
         "1/2*x2*x5*x + 3*x2*x5^2 - x2^3 - x5 + 7",
         "\\frac{1}{2}\\,x_{2}x_{5}x + 3\\,x_{2}x_{5}^{2} - x_{2}^{3} - x_{5} + 7",
         '[{"coeff": "1/2", "monomial": {"x2": 1, "x5": 1, "x": 1}}, '
         '{"coeff": "3", "monomial": {"x2": 1, "x5": 2}}, '
         '{"coeff": "-1", "monomial": {"x2": 3}}, '
         '{"coeff": "-1", "monomial": {"x5": 1}}, {"coeff": "7", "monomial": {}}]',
+    ],
+    # exponents above 255, in a and the generators
+    "x2^300*x7 - 2*x5^256*x2 + 1/3*x7^1000 - x2^256*x5^300*a^257": [
+        "1/3*x7^1000 - x2^256*x5^300*a^257 + x2^300*x7 - 2*x2*x5^256",
+        "\\frac{1}{3}\\,x_{7}^{1000} - x_{2}^{256}x_{5}^{300}a^{257} + x_{2}^{300}x_{7}"
+        " - 2\\,x_{2}x_{5}^{256}",
+        '[{"coeff": "1/3", "monomial": {"x7": 1000}}, '
+        '{"coeff": "-1", "monomial": {"x2": 256, "x5": 300, "a": 257}}, '
+        '{"coeff": "1", "monomial": {"x2": 300, "x7": 1}}, '
+        '{"coeff": "-2", "monomial": {"x2": 1, "x5": 256}}]',
+    ],
+    # degree 90000 is 24465 modulo 0xFFFF, below the degree 30000 after it
+    "(x2^3000*x5^3000*x7^3000)^10 - (x2^3000)^10 + x5*x7": [
+        "x2^30000*x5^30000*x7^30000 - x2^30000 + x5*x7",
+        "x_{2}^{30000}x_{5}^{30000}x_{7}^{30000} - x_{2}^{30000} + x_{5}x_{7}",
+        '[{"coeff": "1", "monomial": {"x2": 30000, "x5": 30000, "x7": 30000}}, '
+        '{"coeff": "-1", "monomial": {"x2": 30000}}, '
+        '{"coeff": "1", "monomial": {"x5": 1, "x7": 1}}]',
+    ],
+    # a degree bound of exactly 0xFFFF: the first term's degree is 0 modulo it
+    "(x2^3000*x5^3000)^10*x7^4096*x7^1439 + (x2^3000*x5^3000)^10": [
+        "x2^30000*x5^30000*x7^5535 + x2^30000*x5^30000",
+        "x_{2}^{30000}x_{5}^{30000}x_{7}^{5535} + x_{2}^{30000}x_{5}^{30000}",
+        '[{"coeff": "1", "monomial": {"x2": 30000, "x5": 30000, "x7": 5535}}, '
+        '{"coeff": "1", "monomial": {"x2": 30000, "x5": 30000}}]',
+    ],
+    "x2*x5 - x5*x2 + x7 - x7": ["0", "0", "[]"],
+    "-7/3 + x5 - x5": ["-7/3", "-\\frac{7}{3}", '[{"coeff": "-7/3", "monomial": {}}]'],
+}
+
+
+def test_render_does_not_depend_on_slot_order():
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _RENDER_AFTER, order, *_RENDERED],
+            capture_output=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=60,
+        ).stdout.decode().splitlines()
+        for order in _SLOT_ORDERS
+    ]
+    for k, (text, expected) in enumerate(_RENDERED.items()):
+        for order, lines in zip(_SLOT_ORDERS, outputs):
+            assert lines[3 * k : 3 * k + 3] == expected, (text, order)
+
+
+# Runs in a fresh interpreter: a parse registers the new generators of its
+# input highest index first, and so does Polynomial.linear; an index that is
+# out of range or too long is still refused at its own column.
+_REGISTER = """
+from kravchuk_identities import poly
+from kravchuk_identities.cli import ParseError, parse_expr
+from kravchuk_identities.poly import Polynomial
+parse_expr("x2*x7 + x5^2 - x7")
+Polynomial.linear({1: 1, 9: 2, 4: 3, 6: 0})
+for text in ("x3 + 2*x1000000000*x8", "x3 + x" + "0" * 4301):
+    try:
+        parse_expr(text)
+    except ParseError as exc:
+        print(exc)
+print(poly._CODES)
+"""
+
+
+def test_new_generators_register_highest_index_first():
+    proc = subprocess.run(
+        [sys.executable, "-c", _REGISTER],
+        capture_output=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=60,
+        text=True,
+    )
+    assert proc.stdout.splitlines() == [
+        "parse error at line 1, column 8: generator index must be in 0..999999999,"
+        " got 1000000000",
+        f"parse error at line 1, column 6: number longer than {DIGIT_LIMIT} digits",
+        str([A, X, 7, 5, 2, 9, 4, 1, 8, 3]),
     ]
 
 
 # The packed-key layout is poly's own; other modules use var_key, keys that
 # add, GUARD and Polynomial.sum's (key, numerator, denominator) triples.
 _POLY_INTERNALS = {
-    "_slot", "_SLOTS", "_CODES", "_FIELD_MASK", "FIELD_BITS", "_GUARD", "_make", "_terms", "_den"
+    "_slot", "_SLOTS", "_CODES", "_NAMES", "_LATEX_NAMES", "_FIELD_MASK", "FIELD_BITS",
+    "_make", "_terms", "_den",
 }
 
 
