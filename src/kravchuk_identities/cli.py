@@ -226,7 +226,6 @@ _DERIVATIONS = {
     "k1": derivations.kravchuk1,
     "k2": derivations.kravchuk2,
 }
-_PSI_MAPS = {"ak1": intertwine.psi_ak1, "ak2": intertwine.psi_ak2}
 
 
 # -- command line -------------------------------------------------------
@@ -268,7 +267,7 @@ _COMMANDS = {
     "intertwine": (
         "apply psi_AK1 / psi_AK2",
         [("action", ("apply",)), ("expr", str)],
-        {"--map": ("psi_map", tuple(_PSI_MAPS), _REQUIRED)},
+        {"--map": ("psi_map", ("ak1", "ak2"), _REQUIRED)},
     ),
     "identity": (
         "phi_K image and classification",
@@ -500,7 +499,7 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "intertwine":
         p = parse_expr(args.expr)
-        print(render_text(intertwine.apply_psi(_PSI_MAPS[args.psi_map], p)))
+        print(render_text(intertwine.apply_psi(args.psi_map, p)))
         return 0
     if cmd == "identity":
         p = parse_expr(args.expr)
@@ -545,11 +544,7 @@ def _run_conjecture(which: int, max_n):
         # a sweep whose highest K index is at the limit could only end in this
         # error, after every smaller n.
         raise poly.ExponentOverflow()
-    if which == 1:
-        return [identities.conjecture1(n) for n in range(2, max_n + 1)]
-    if which == 2:
-        return [identities.conjecture2(n) for n in range(2, max_n + 1)]
-    return identities.conjecture3(max_n)
+    return (identities.conjecture1, identities.conjecture2, identities.conjecture3)[which - 1](max_n)
 
 
 def main():

@@ -3,12 +3,11 @@ derivation and the two Kravchuk derivations, with the Dixmier map and the
 Cayley kernel elements.  The closed forms of their powers D^k(x_n) are
 oracles in the tests.
 
-A derivation is the function n -> D(x_n), cached.  Each image uses only
-the x_j with j < n, so the images of the generators an input uses fix D on
-it, and no ring size is chosen.
+A derivation is the function n -> D(x_n), built on each call.  Each image
+uses only the x_j with j < n, so the images of the generators an input uses
+fix D on it, and no ring size is chosen.
 """
 
-from functools import lru_cache
 from math import factorial, lcm
 from operator import itemgetter
 
@@ -22,8 +21,18 @@ from .poly import (
     xvar,
 )
 
+# The most terms a D_K1 or D_K2 image may have, checked before any is built:
+# a packed key spends 16 bits on every slot up to its variable, so
+# D_K2(x10000), with 10,000 terms over lcm(1..10000), already peaks near 280 MB.
+IMAGE_TERM_LIMIT = 10_000
 
-@lru_cache(maxsize=None)
+
+def _check_terms(name: str, n: int, terms: int) -> None:
+    if terms > IMAGE_TERM_LIMIT:
+        raise ValueError(
+            f"{name}(x{n}) would have {terms} terms, past the limit of {IMAGE_TERM_LIMIT}")
+
+
 def weitzenbock(n: int) -> Polynomial:
     """W(x_n) = n x_{n-1}, W(x_0) = 0."""
     return Polynomial.linear({n - 1: n} if n else {})
@@ -31,17 +40,17 @@ def weitzenbock(n: int) -> Polynomial:
 
 # D_K1 and D_K2 are integer multiples of the generators over one
 # denominator, the lcm of the index differences.
-@lru_cache(maxsize=None)
 def kravchuk1(n: int) -> Polynomial:
     """D_K1(x_n) = sum_{i=1}^n (1-(-1)^i)/(2i) x_{n-i}  (odd i only)."""
     odd = range(1, n + 1, 2)
+    _check_terms("D_K1", n, len(odd))
     den = lcm(*odd)
     return Polynomial.linear({n - i: den // i for i in odd}, den)
 
 
-@lru_cache(maxsize=None)
 def kravchuk2(n: int) -> Polynomial:
     """D_K2(x_n) = sum_{i=0}^{n-1} (-1)^(n+1+i)/(n-i) x_i."""
+    _check_terms("D_K2", n, n)
     den = lcm(*range(1, n + 1))
     coeffs = {i: (-1) ** (n + 1 + i) * (den // (n - i)) for i in range(n)}
     return Polynomial.linear(coeffs, den)
@@ -53,11 +62,14 @@ def apply(D, p: Polynomial) -> Polynomial:
     return p.derive({v: D(v) for v in generators(p)})
 
 
-def _iterates(D, p: Polynomial):
-    """p, D(p), D^2(p), ... up to the last nonzero one."""
+def _iterates(images: dict, p: Polynomial):
+    """p, D(p), D^2(p), ... up to the last nonzero one, for the derivation
+    D with the generator images {v: D(x_v)}, which hold every generator of
+    p and of its images; each step passes derive only those of its own
+    generators."""
     while not p.is_zero:
         yield p
-        p = apply(D, p)
+        p = p.derive({v: images[v] for v in generators(p)})
 
 
 def is_in_kernel(D, p: Polynomial) -> bool:
@@ -98,13 +110,15 @@ def dixmier_sigma(D, i: int) -> Sigma:
     lambda = -x1/(c x0), where D(x1) = c x0; a kernel element of the ring
     localized at x0."""
     x0 = Polynomial.var(xvar(0))
-    dx1 = D(1)
+    # D is triangular, so D^k(x_i) uses only x_0..x_i: their images (and
+    # D(x1), for the check below), built once, serve every iterate.
+    images = {v: D(v) for v in range(max(i, 1) + 1)}
     # -1/c, the constant ratio of -x0 to D(x1), if D(x1) has one.
-    inverse = constant_ratio(-x0, dx1)
-    if inverse is None or not D(0).is_zero:
+    inverse = constant_ratio(-x0, images[1])
+    if inverse is None or not images[0].is_zero:
         raise ValueError(f"sigma needs D(x0) = 0 and D(x1) = c*x0, c != 0 ({D.__name__})")
     y = Polynomial.var(xvar(1)) * inverse  # lambda x0
-    iterates = list(_iterates(D, Polynomial.var(xvar(i))))
+    iterates = list(_iterates(images, Polynomial.var(xvar(i))))
     # Every term over the common denominator x0^top; the x0 factors that the
     # whole numerator shares with it cancel once, at the end.
     top = len(iterates) - 1

@@ -8,17 +8,20 @@ plus a constant ratio whenever the two sides are proportional.
 
 import time
 from functools import reduce
+from itertools import islice
 from math import factorial, prod
 from operator import mul
 from types import SimpleNamespace
 
 from . import arith
 from .derivations import is_in_kernel, kravchuk1
-from .intertwine import apply_psi, psi_ak1, psi_row
-from .kravchuk import on_slice, phi_k, slice_numerators, slice_polynomial
+from .intertwine import apply_psi, psi_rows
+from .kravchuk import phi_k, rows, slice_numerators, slice_polynomial
 from .poly import (
     A,
+    EXPONENT_LIMIT,
     X,
+    ExponentOverflow,
     Polynomial,
     binom_poly,
     constant_ratio,
@@ -101,34 +104,43 @@ def classify(p: Polynomial, expected: Polynomial = None) -> IdentityReport:
 # and phi_K(x_0) = 1: phi_K(sigma(x_n)) is the Taylor series of K_n on a slice.
 
 
-def _slice(check_id: str, n: int, var: int, even_rhs) -> IdentityReport:
-    """K_n on the slice a = 2x, in var (see kravchuk.on_slice), versus
-    even_rhs(m) for n = 2m and 0 for odd n."""
-    if n < 2:
-        raise ValueError(f"{check_id}: n must be >= 2, got {n}")
-    start = time.perf_counter()
-    lhs = on_slice(n, var)
-    rhs = Polynomial.zero() if n % 2 else even_rhs(n // 2)
-    return _report(check_id, n, lhs, rhs, start)
+def _slice_sweep(check_id: str, max_n: int, var: int, even_rhs) -> list:
+    """K_n on the slice a = 2x in var, read off row n of one rows() generator,
+    versus even_rhs(m) for n = 2m and 0 for odd n, for n = 2..max_n; each
+    report is timed from its own row step."""
+    if max_n < 2:
+        raise ValueError(f"{check_id}: max_n must be >= 2, got {max_n}")
+    if max_n >= EXPONENT_LIMIT:  # K_n on the slice holds x^n or a^n
+        raise ExponentOverflow()
+    steps = islice(rows(), 2, None)
+    reports = []
+    for n in range(2, max_n + 1):
+        start = time.perf_counter()
+        lhs = slice_polynomial(slice_numerators(next(steps)), factorial(n) << n, var)
+        rhs = Polynomial.zero() if n % 2 else even_rhs(n // 2)
+        reports.append(_report(check_id, n, lhs, rhs, start))
+    return reports
 
 
-def conjecture1(n: int) -> IdentityReport:
-    """phi_K(sigma(x_n)) = K_n(a/2, a) for D_K1 versus the conjectured product;
-    by (1-z^2)^(a/2) it is (-1)^m C(a/2, m) for n = 2m: ratio exactly 1/n!."""
+def conjecture1(max_n: int) -> list:
+    """phi_K(sigma(x_n)) = K_n(a/2, a) for D_K1 versus the conjectured product,
+    n = 2..max_n; by (1-z^2)^(a/2) it is (-1)^m C(a/2, m) for n = 2m: ratio
+    exactly 1/n!."""
     a = Polynomial.var(A)
 
     def rhs(m):
         c = Polynomial.constant((-1) ** m * arith.double_factorial(2 * m - 1))
         return reduce(mul, (a - 2 * j for j in range(m)), c)
 
-    return _slice("conjecture1", n, A, rhs)
+    return _slice_sweep("conjecture1", max_n, A, rhs)
 
 
-def conjecture2(n: int) -> IdentityReport:
+def conjecture2(max_n: int) -> list:
     """phi_K(sigma(x_n)) = K_n(x, 2x) for D_K2 versus 0 (odd n) or
-    (-1)^m C(x,m), n = 2m; the generating function (1-z^2)^x proves it."""
+    (-1)^m C(x,m), n = 2m, for n = 2..max_n; the generating function
+    (1-z^2)^x proves it."""
     x = Polynomial.var(X)
-    return _slice("conjecture2", n, X, lambda m: binom_poly(x, m) * (-1) ** m)
+    return _slice_sweep("conjecture2", max_n, X, lambda m: binom_poly(x, m) * (-1) ** m)
 
 
 # -- the discriminant chain and conjecture 3 ----------------------------
@@ -169,7 +181,7 @@ def discriminant_identity() -> IdentityReport:
     # 5x5 determinant and the discriminant of the cubic.
     disc = exact_div(raw_det, -Polynomial.var(xvar(0)))
     disc_ok = disc == discriminant_expected()
-    transported = apply_psi(psi_ak1, disc)
+    transported = apply_psi("ak1", disc)
     kernel_ok = is_in_kernel(kravchuk1, transported)
     image = phi_k(transported)
     expected = Polynomial.var(A) ** 3 * 108
@@ -188,7 +200,8 @@ def discriminant_identity() -> IdentityReport:
 
 class _Chebyshev:
     """The Chebyshev algorithm (Gautschi, Orthogonal Polynomials, 2004,
-    sec. 2.1.7) on the moments mu_l = moment(l), grown one n at a time.
+    sec. 2.1.7) on the moments mu_0, mu_1, ... that the iterator moments
+    yields, grown one n at a time.
 
     sigma[k, l] = sigma_{k,l}, with sigma_{0,l} = mu_l, each moment asked
     for once.  alpha[k] = ratios[k] - ratios[k-1] with ratios[k] =
@@ -200,8 +213,8 @@ class _Chebyshev:
     exact_div, which raises when it is not exact.
     """
 
-    def __init__(self, moment):
-        self.moment = moment
+    def __init__(self, moments):
+        self.moments = moments
         self.sigma: dict = {}
         self.alpha: list = []
         self.beta: list = []
@@ -220,7 +233,7 @@ class _Chebyshev:
         m = len(self.dets)
         sigma, alpha, beta, ratios = self.sigma, self.alpha, self.beta, self.ratios
         for l in range(max(2 * m - 1, 0), 2 * m + 1):
-            sigma[0, l] = self.moment(l)
+            sigma[0, l] = next(self.moments)
         if not m:
             self.dets.append(sigma[0, 0])
             return
@@ -250,20 +263,15 @@ def _sigma_entry(sigma: dict, alpha: list, beta: list, k: int, l: int) -> Polyno
 _SLICE_VAR = {"ak1": A, "ak2": X}
 
 
-def moment(kind: str, l: int, slices: list) -> Polynomial:
+def moment(kind: str, row: tuple, slices: list) -> Polynomial:
     """nu_l = phi_K(psi(x_l)) on the slice a = 2x, in the variable
-    _SLICE_VAR[kind], for the psi whose rows are psi_row(kind, .): the sum
-    over i of row[i] K_i at a = 2x.  With d + 1 entries in the row, each
-    K_i's slice numerators (see kravchuk.slice_numerators, over 2^i i!) are
+    _SLICE_VAR[kind], from row = row l of psi_rows(kind): the sum over i of
+    row[i] K_i at a = 2x.  With d + 1 entries in the row, each K_i's slice
+    numerators slices[i] (see kravchuk.slice_numerators, over 2^i i!) are
     scaled by row[i] d!/i! 2^(d-i) into one int vector over 2^d d!, which
-    is packed once; no K_i and no psi(x_l) is built.  slices holds
-    slice_numerators(i) for i = 0, 1, ... and is extended in place as far
-    as the row needs, so the caller's sweep steps the rows of i! K_i up
-    once."""
-    row = psi_row(kind, l)
+    is packed once; no K_i and no psi(x_l) is built.  slices holds at least
+    d + 1 entries."""
     d = len(row) - 1
-    while len(slices) <= d:
-        slices.append(slice_numerators(len(slices)))
     total = [0] * (d + 1)
     scale = 1  # d!/i! 2^(d-i)
     for i in range(d, -1, -1):
@@ -313,13 +321,24 @@ def conjecture3(max_n: int) -> list:
     """
     if max_n < 1:
         raise ValueError(f"conjecture3: max_n must be >= 1, got {max_n}")
-    slices: list = []  # shared by both parts' moments
+    if 2 * max_n >= EXPONENT_LIMIT:  # the moments reach K_2n, which holds x^2n
+        raise ExponentOverflow()
+    # slice_numerators of K_0, K_1, ..., stepped up as far as either part's
+    # psi rows reach
+    krows, slices = rows(), []
+
+    def moments(kind):
+        for row in psi_rows(kind):
+            while len(slices) < len(row):
+                slices.append(slice_numerators(next(krows)))
+            yield moment(kind, row, slices)
+
     parts = []
     for check_id, kind, s, c in (
         ("conjecture3i", "ak1", 1, lambda n: prod(map(factorial, range(n)))),
         ("conjecture3ii", "ak2", -1, lambda n: prod(2**i * factorial(i) for i in range(n + 1))),
     ):
-        table = _Chebyshev(lambda l: moment(kind, l, slices))
+        table = _Chebyshev(moments(kind))
         v = Polynomial.var(_SLICE_VAR[kind])
         r = f = Polynomial.one()  # R_n and F_(n-1)
         reports = []

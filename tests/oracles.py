@@ -20,7 +20,7 @@ from kravchuk_identities.derivations import (
     kravchuk2,
     weitzenbock,
 )
-from kravchuk_identities.intertwine import apply_psi, psi_ak1, psi_ak2
+from kravchuk_identities.intertwine import apply_psi
 from kravchuk_identities.kravchuk import kravchuk, phi_k
 from kravchuk_identities.poly import (
     A,
@@ -202,7 +202,7 @@ def kravchuk_binomial_sum(n: int) -> Polynomial:
 def kravchuk_on_slice(n: int, x, a) -> Polynomial:
     """K_n(x, a) at the polynomials (or constants) x and a, expanded by one
     Polynomial product per term of K_n: the package reads the slice a = 2x
-    off the integer rows of n! K_n instead (kravchuk.on_slice)."""
+    off the integer rows of n! K_n instead (kravchuk.slice_numerators)."""
     return kravchuk(n).substitute({X: x, A: a})
 
 
@@ -281,7 +281,7 @@ def conjecture3_expanded(n: int) -> tuple:
     det H_n expanded over the generators x_0..x_2n first."""
     generators = [Polynomial.var(xvar(k)) for k in range(2 * n + 1)]
     det_h = determinant_bareiss(hankel(generators))
-    return tuple(phi_k(apply_psi(psi, det_h)) for psi in (psi_ak1, psi_ak2))
+    return tuple(phi_k(apply_psi(kind, det_h)) for kind in ("ak1", "ak2"))
 
 
 def power_apply(D, p: Polynomial, k: int) -> Polynomial:

@@ -186,7 +186,7 @@ def test_criterion_08_intertwining_maps():
     def check():
         assert psi_ak1(5) == 16 * x1 - 120 * x3 + 120 * x5
         assert psi_ak2(4) == x1 + 14 * x2 + 36 * x3 + 24 * x4
-        for psi, D in ((psi_ak1, kravchuk1), (psi_ak2, kravchuk2)):
+        for psi, D in (("ak1", kravchuk1), ("ak2", kravchuk2)):
             for n in range(21):
                 xn = Polynomial.var(xvar(n))
                 assert apply(D, apply_psi(psi, xn)) == apply_psi(psi, apply(weitzenbock, xn))
@@ -212,17 +212,18 @@ def test_criterion_08_intertwining_maps():
 
 def test_criterion_09_conjecture_sweeps():
     def check():
-        for n in range(2, 11):
-            rep = conjecture1(n)
-            assert rep.to_record()["lhs_canonical"] is not None
+        sweeps = conjecture1(10), conjecture2(10)
+        for reports in sweeps:
+            assert [rep.n for rep in reports] == list(range(2, 11))
+        for n, rep1, rep2 in zip(range(2, 11), *sweeps):
+            assert rep1.to_record()["lhs_canonical"] is not None
             if n % 2 == 1:
-                assert rep.verdict == VERIFIED and rep.image.is_zero
+                assert rep1.verdict == VERIFIED and rep1.image.is_zero
             else:
-                assert rep.ratio == Fraction(1, factorial(n))
-            rep = conjecture2(n)
-            assert rep.verdict == VERIFIED
+                assert rep1.ratio == Fraction(1, factorial(n))
+            assert rep2.verdict == VERIFIED
             if n % 2 == 1:
-                assert rep.image.is_zero
+                assert rep2.image.is_zero
         reports = conjecture3(4)
         assert [(rep.check_id, rep.n) for rep in reports] == [
             (check_id, n) for n in range(1, 5) for check_id in ("conjecture3i", "conjecture3ii")
@@ -239,14 +240,14 @@ def test_criterion_10_theorem_classification():
     def check():
         # every kernel element used in the suite
         k1_elems = [cayley_k1(n) for n in range(2, 9)]
-        k1_elems.append(apply_psi(psi_ak1, i_element(3)))
+        k1_elems.append(apply_psi("ak1", i_element(3)))
         det_h2 = determinant(hankel([x0, x1, x2, x3, x4]))
-        k1_elems.append(apply_psi(psi_ak1, det_h2))
+        k1_elems.append(apply_psi("ak1", det_h2))
         for p in k1_elems:
             assert classify(p).classification in (CONSTANT, ONLY_A)
         k2_elems = [cayley_k2(n).polynomial for n in range(2, 9)]
-        k2_elems.append(apply_psi(psi_ak2, i_element(3)))
-        k2_elems.append(apply_psi(psi_ak2, det_h2))
+        k2_elems.append(apply_psi("ak2", i_element(3)))
+        k2_elems.append(apply_psi("ak2", det_h2))
         for p in k2_elems:
             assert classify(p).classification in (CONSTANT, ONLY_X)
         # phi o D_K2 = d/da o phi on monomials; phi o D_K1 = c d/dx o phi

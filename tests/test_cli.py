@@ -649,6 +649,25 @@ def test_module_entry_point_out_of_memory_exits_2():
     assert proc.stderr == "error: out of memory\n"
 
 
+def test_module_entry_point_image_past_the_term_limit_exits_2():
+    # D_K1(x_n) has ceil(n/2) terms and D_K2(x_n) has n: an image past
+    # 10,000 terms is refused before it is built, with one error line (exit
+    # 2), where D_K2(x999999999) was built until the process was killed.
+    for argv, name, n, terms in (
+        (["derivation", "apply", "--kind", "k2", "x999999999"], "D_K2", 999999999, 999999999),
+        (["kernel", "check", "--derivation", "k1", "x999999999"], "D_K1", 999999999, 500000000),
+        (["derivation", "apply", "--kind", "k2", "x10001"], "D_K2", 10001, 10001),
+        (["derivation", "apply", "--kind", "k1", "x20001"], "D_K1", 20001, 10001),
+        (["derive", "10001", "--op", "da"], "D_K2", 10001, 10001),
+    ):
+        proc = _run_module(argv, capture_output=True)
+        assert proc.returncode == 2, argv
+        assert proc.stdout == "", argv
+        assert proc.stderr == (
+            f"error: {name}(x{n}) would have {terms} terms, past the limit of 10000\n"
+        ), argv
+
+
 # -- the command line against the argparse oracle ------------------------
 
 MALFORMED = [
@@ -931,6 +950,91 @@ def test_cli_cold_run_imports_no_argparse_gettext_or_locale():
     # The record classes are tuple subclasses and a SimpleNamespace, not
     # dataclasses, which import inspect.
     assert not {"dataclasses", "inspect"} & set(result["added"])
+
+
+# Runs in a fresh interpreter: every module-level value of the package, read
+# as its size (an lru_cache's currsize, a container's len) or else as the
+# object it is bound to, before and after one job of every command and a
+# conjecture-3 sweep cut short; prints the names whose reading changed.
+_MODULE_STATE = """
+import contextlib, io, json, sys
+import kravchuk_identities.cli as cli
+from kravchuk_identities import identities
+
+def state():
+    readings = {}
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] != "kravchuk_identities":
+            continue
+        for attr, value in vars(module).items():
+            if attr.startswith("__"):
+                continue
+            if hasattr(value, "cache_info"):
+                reading = value.cache_info().currsize
+            elif isinstance(value, (list, dict, set, bytearray)):
+                reading = len(value)
+            else:
+                reading = id(value)
+            readings[f"{name}.{attr}"] = reading
+    return readings
+
+before = state()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(argv) for argv in json.loads(sys.argv[1])]
+    sigma_entry = identities._sigma_entry
+
+    def interrupted_sigma_entry(sigma, alpha, beta, k, l):
+        if k == l == 3:
+            raise RuntimeError("interrupted")
+        return sigma_entry(sigma, alpha, beta, k, l)
+
+    identities._sigma_entry = interrupted_sigma_entry
+    try:
+        cli.run(["conjecture", "3", "--max-n", "4"])
+    except RuntimeError:
+        codes.append("interrupted")
+    identities._sigma_entry = sigma_entry
+after = state()
+changed = sorted(k for k in after if before.get(k) != after[k])
+print(json.dumps({"codes": codes, "changed": changed}))
+"""
+
+# The module state that may grow, each with the reason it is kept.
+_ALLOWED_MODULE_STATE = {
+    # The slot registry: only ever appended to, so that a packed key stays
+    # valid for the life of the process; GUARD gains a bit per slot.
+    "kravchuk_identities.poly._CODES",
+    "kravchuk_identities.poly._SLOTS",
+    "kravchuk_identities.poly._NAMES",
+    "kravchuk_identities.poly._LATEX_NAMES",
+    "kravchuk_identities.poly.GUARD",
+    # Each variable token's packed key, which mirrors the slot registry.
+    "kravchuk_identities.cli._VARS",
+    # K_n's cache, which the benchmark tracer reads (ROADMAP item 6).
+    "kravchuk_identities.kravchuk.kravchuk",
+    # The Stirling caches, which only the tests and the tracer call.
+    "kravchuk_identities.arith._stirling",
+    "kravchuk_identities.arith.s_upper",
+}
+
+
+def test_cli_commands_leave_no_module_state():
+    # Each recurrence (the rows of n! K_n, the psi rows, the generator
+    # images of a derivation) is stepped by the call that sweeps it and
+    # held as its local, so no command, not even a sweep cut short, leaves
+    # any of it behind in the package's modules.
+    src = Path(kravchuk_identities.__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_STATE, json.dumps([argv for argv, _ in _COLD_ARGVS])],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [code for _, code in _COLD_ARGVS] + ["interrupted"]
+    assert set(result["changed"]) <= _ALLOWED_MODULE_STATE
 
 
 # The standard-library modules that the package's sources import.  In an

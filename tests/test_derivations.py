@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kravchuk_identities import derivations
 from kravchuk_identities.derivations import (
     CayleyK2,
     Sigma,
@@ -266,3 +267,13 @@ def test_kernel_membership_examples():
     )
     assert not is_in_kernel(kravchuk1, p)
     assert not is_in_kernel(kravchuk2, p)
+
+
+def test_image_term_limit(monkeypatch):
+    # D_K1(x_n) has ceil(n/2) terms and D_K2(x_n) has n: an image at the
+    # limit is built, and one past it is refused before any term is.
+    monkeypatch.setattr(derivations, "IMAGE_TERM_LIMIT", 5)
+    assert len(kravchuk1(10)._terms) == len(kravchuk2(5)._terms) == 5
+    for D, n in ((kravchuk1, 11), (kravchuk2, 6), (kravchuk2, 999999999)):
+        with pytest.raises(ValueError, match="terms, past the limit of 5"):
+            D(n)

@@ -1,6 +1,8 @@
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import partial
+from itertools import count, islice
 from math import factorial, gcd, prod
 
 import pytest
@@ -31,8 +33,8 @@ from kravchuk_identities.identities import (
     discriminant_matrix,
     phi_k,
 )
-from kravchuk_identities.intertwine import psi_ak1, psi_ak2
-from kravchuk_identities.kravchuk import kravchuk
+from kravchuk_identities.intertwine import psi_ak1, psi_ak2, psi_rows
+from kravchuk_identities.kravchuk import kravchuk, rows, slice_numerators
 from kravchuk_identities.poly import (
     A,
     X,
@@ -88,7 +90,7 @@ def test_proportional():
 
 
 def test_verdict_is_verified_exactly_when_ratio_is_one():
-    reports = [check(n) for check in (conjecture1, conjecture2) for n in range(2, 21)]
+    reports = conjecture1(20) + conjecture2(20)
     reports += conjecture3(8)
     reports.append(discriminant_identity())
     p = x1**2 - 2 * x2 * x0  # phi_K(p) = a
@@ -164,9 +166,19 @@ def test_report_record_schema():
     assert record["ratio_if_proportional"] == "1"
 
 
+def _sweeps_1_2(max_n):
+    """(n, conjecture-1 report, conjecture-2 report) for n = 2..max_n, from
+    one sweep each."""
+    reports = list(zip(conjecture1(max_n), conjecture2(max_n)))
+    assert [rep1.n for rep1, _ in reports] == [rep2.n for _, rep2 in reports] == list(range(2, max_n + 1))
+    return [(rep1.n, rep1, rep2) for rep1, rep2 in reports]
+
+
 def test_conjecture1_odd_cases_vanish():
+    reports = conjecture1(9)
     for n in (3, 5, 7, 9):
-        rep = conjecture1(n)
+        rep = reports[n - 2]
+        assert rep.n == n
         assert rep.verdict == VERIFIED
         assert rep.image.is_zero
 
@@ -174,8 +186,10 @@ def test_conjecture1_odd_cases_vanish():
 def test_conjecture1_even_cases():
     # even n: the computed sum is proportional to the stated product with
     # ratio exactly 1/n!, and equals phi_K(C_n)/(n (n-2)!) on the nose
+    reports = conjecture1(8)
     for n in (2, 4, 6, 8):
-        rep = conjecture1(n)
+        rep = reports[n - 2]
+        assert rep.n == n
         assert rep.verdict == REFUTED
         assert rep.ratio == Fraction(1, factorial(n))
         assert rep.image == phi_k(cayley_k1(n)) / (n * factorial(n - 2))
@@ -183,23 +197,23 @@ def test_conjecture1_even_cases():
 
 def test_conjectures_1_2_match_closed_power_double_sums():
     # phi_K(sigma(x_n)) against the sums over the closed forms of D^k(x_n)
-    for n in range(2, 13):
-        assert conjecture1(n).image == conjecture1_double_sum(n)
-        assert conjecture2(n).image == conjecture2_double_sum(n)
+    for n, rep1, rep2 in _sweeps_1_2(12):
+        assert rep1.image == conjecture1_double_sum(n)
+        assert rep2.image == conjecture2_double_sum(n)
 
 
 def test_conjectures_1_2_match_phi_of_dixmier_sigma():
     # the slice K_n(a/2, a) / K_n(x, 2x) against phi_K(sigma(x_n)) itself
-    for n in range(2, 21):
-        assert conjecture1(n).image == phi_sigma(kravchuk1, n)
-        assert conjecture2(n).image == phi_sigma(kravchuk2, n)
+    for n, rep1, rep2 in _sweeps_1_2(20):
+        assert rep1.image == phi_sigma(kravchuk1, n)
+        assert rep2.image == phi_sigma(kravchuk2, n)
 
 
 def test_conjectures_1_2_proved_values():
     # (1-z^2)^(a/2) and (1-z^2)^x: 0 for odd n, (-1)^m C(., m) for n = 2m
-    for n in range(2, 21):
+    for n, rep1, rep2 in _sweeps_1_2(20):
         m, odd = divmod(n, 2)
-        c1, c2 = conjecture1(n).image, conjecture2(n).image
+        c1, c2 = rep1.image, rep2.image
         if odd:
             assert c1.is_zero and c2.is_zero
         else:
@@ -211,25 +225,15 @@ def test_conjectures_1_2_match_the_substituted_k_n():
     # The slice read off the rows of n! K_n equals K_n(a/2, a) and K_n(x, 2x)
     # by substitution, and is canonical: a positive denominator sharing no
     # factor with the numerators, none of which is zero.
-    for n in range(2, 61):
+    for n, rep1, rep2 in _sweeps_1_2(60):
         for image, slice_ in (
-            (conjecture1(n).image, (a / 2, a)),
-            (conjecture2(n).image, (x, 2 * x)),
+            (rep1.image, (a / 2, a)),
+            (rep2.image, (x, 2 * x)),
         ):
             assert image == kravchuk_on_slice(n, *slice_), n
             assert image._den > 0, n
             assert gcd(image._den, *image._terms.values()) == 1, n
             assert all(image._terms.values()), n
-
-
-def test_conjectures_1_2_cache_no_k_n():
-    # A sweep reads each K_n once, on a slice: caching them held every K_n
-    # to the end (253 MB RSS at n = 200).
-    kravchuk.cache_clear()
-    for n in range(2, 31):
-        conjecture1(n)
-        conjecture2(n)
-    assert kravchuk.cache_info().currsize == 0
 
 
 @given(polynomials(max_var=2, max_exp=2))
@@ -247,8 +251,8 @@ def test_phi_of_dixmier_sigma_is_phi_on_the_slice(f):
 
 
 def test_conjecture2_verifies():
-    for n in range(2, 11):
-        rep = conjecture2(n)
+    for n, rep in enumerate(conjecture2(10), 2):
+        assert rep.n == n
         assert rep.verdict == VERIFIED
         if n % 2 == 1:
             assert rep.image.is_zero
@@ -384,32 +388,6 @@ def test_conjecture3_runs_whole_after_an_interrupted_sweep(monkeypatch):
             assert rep.image == _heilermann(lam, n)
 
 
-def test_conjecture3_sweep_leaves_no_module_state(monkeypatch):
-    # a sweep holds its tables, slice numerators and stated sides itself,
-    # so neither a whole sweep nor one cut short leaves any of them behind
-    def module_state():
-        return {
-            name: value.copy()
-            for name, value in vars(identities).items()
-            if not name.startswith("__") and isinstance(value, (list, dict))
-        }
-
-    before = module_state()
-    conjecture3(4)
-    assert module_state() == before
-    sigma_entry = identities._sigma_entry
-
-    def interrupted_sigma_entry(sigma, alpha, beta, k, l):
-        if k == l == 3:
-            raise RuntimeError("interrupted")
-        return sigma_entry(sigma, alpha, beta, k, l)
-
-    monkeypatch.setattr(identities, "_sigma_entry", interrupted_sigma_entry)
-    with pytest.raises(RuntimeError, match="interrupted"):
-        conjecture3(4)
-    assert module_state() == before
-
-
 def test_conjecture3_is_the_laplace_hankel_determinant():
     # the memoized Laplace expansion of det[phi_K(psi(x_(i+j)))] in Q[x, a]
     for n, *reps in _by_n(conjecture3(6)):
@@ -418,22 +396,28 @@ def test_conjecture3_is_the_laplace_hankel_determinant():
             assert rep.image == determinant(h)
 
 
+def _slices(n):
+    """slice_numerators of K_0..K_(n-1), as the conjecture-3 sweep holds them."""
+    return [slice_numerators(row) for row in islice(rows(), n)]
+
+
 def test_slice_moments_are_the_bivariate_moments_at_a_2x():
     # nu_l = mu_l(a = 2x), read in a for psi_AK1 and in x for psi_AK2
-    slices = []
+    slices = _slices(17)
     for kind, psi, on_slice in (
         ("ak1", psi_ak1, {X: a / 2, A: a}),
         ("ak2", psi_ak2, {X: x, A: 2 * x}),
     ):
-        for l in range(17):
+        for l, row in zip(range(17), psi_rows(kind)):
             mu = bivariate_moment(psi, l)
-            assert identities.moment(kind, l, slices) == mu.substitute(on_slice), (kind, l)
+            assert identities.moment(kind, row, slices) == mu.substitute(on_slice), (kind, l)
 
 
 def test_bivariate_moments_are_the_slice_moments_shifted_by_k1():
     # mu_l = sum_k C(l,k) (a - 2x)^(l-k) nu_k, from e^((a-2x) z) F(z)
     for kind, psi in (("ak1", psi_ak1), ("ak2", psi_ak2)):
-        nu = [identities.moment(kind, l, []) for l in range(17)]
+        slices = _slices(17)
+        nu = [identities.moment(kind, row, slices) for row in islice(psi_rows(kind), 17)]
         assert binomial_shift(nu, a - 2 * x) == [bivariate_moment(psi, l) for l in range(17)]
 
 
@@ -452,9 +436,9 @@ def test_conjecture3_sweep_reads_each_slice_once(monkeypatch):
     calls = []
     slice_numerators = identities.slice_numerators
 
-    def counting_slice_numerators(n):
-        calls.append(n)
-        return slice_numerators(n)
+    def counting_slice_numerators(row):
+        calls.append(len(row) - 1)
+        return slice_numerators(row)
 
     monkeypatch.setattr(identities, "slice_numerators", counting_slice_numerators)
     conjecture3(4)
@@ -467,7 +451,7 @@ def test_chebyshev_table_on_moments_with_a_factor():
     def scaled_psi(k):
         return (x0 + x1) * psi_ak2(k)
 
-    table = identities._Chebyshev(lambda l: bivariate_moment(scaled_psi, l))
+    table = identities._Chebyshev(map(partial(bivariate_moment, scaled_psi), count()))
     for n in range(1, 5):
         h = hankel([bivariate_moment(scaled_psi, k) for k in range(2 * n + 1)])
         assert table.det(n) == determinant(h)
@@ -480,15 +464,15 @@ def test_conjecture3_recurrence_closed_forms(monkeypatch):
     tables = []
 
     class RecordedChebyshev(identities._Chebyshev):
-        def __init__(self, moment):
-            super().__init__(moment)
+        def __init__(self, moments):
+            super().__init__(moments)
             tables.append(self)
 
     monkeypatch.setattr(identities, "_Chebyshev", RecordedChebyshev)
     conjecture3(20)
     s_i, s_ii = tables
     t_i, t_ii = (
-        identities._Chebyshev(lambda l, psi=psi: bivariate_moment(psi, l))
+        identities._Chebyshev(map(partial(bivariate_moment, psi), count()))
         for psi in (psi_ak1, psi_ak2)
     )
     for t in (t_i, t_ii):
@@ -535,15 +519,17 @@ def test_conjecture3_inexact_division_raises(monkeypatch):
     # mu_0 = phi_K(x0 + x2)(a = 2x) = 1 - a/2 does not divide
     # mu_1 = phi_K(x0) = 1, and no determinant stands in for the failed
     # division
-    def fake_psi_row(kind, k):
-        return (1, 0, 1) if k == 0 else (1,)
+    def fake_psi_rows(kind):
+        yield (1, 0, 1)
+        while True:
+            yield (1,)
 
     def no_determinant(matrix):
         raise AssertionError("fell back to a determinant")
 
-    monkeypatch.setattr(identities, "psi_row", fake_psi_row)
+    monkeypatch.setattr(identities, "psi_rows", fake_psi_rows)
     monkeypatch.setattr(identities, "determinant", no_determinant)
-    assert identities.moment("ak1", 0, []) == 1 - a / 2
+    assert identities.moment("ak1", (1, 0, 1), _slices(3)) == 1 - a / 2
     with pytest.raises(ValueError, match="not exact"):
         conjecture3(1)
 
@@ -552,9 +538,9 @@ def test_conjecture3_sweep_expands_each_moment_once(monkeypatch):
     calls = []
     moment = identities.moment
 
-    def counting_moment(kind, l, slices):
-        calls.append((kind, l))
-        return moment(kind, l, slices)
+    def counting_moment(kind, row, slices):
+        calls.append((kind, len(row) - 1))
+        return moment(kind, row, slices)
 
     monkeypatch.setattr(identities, "moment", counting_moment)
     conjecture3(4)

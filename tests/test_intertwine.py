@@ -1,13 +1,13 @@
 import math
 import sys
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 
-from kravchuk_identities import intertwine
 from kravchuk_identities.derivations import apply, is_in_kernel, kravchuk1, kravchuk2, weitzenbock
-from kravchuk_identities.intertwine import apply_psi, psi_ak1, psi_ak2
+from kravchuk_identities.intertwine import apply_psi, psi_ak1, psi_ak2, psi_rows
 from kravchuk_identities.poly import A, X, Polynomial, xvar
 
 from conftest import polynomials
@@ -52,47 +52,31 @@ def test_coeffs_match_stirling_sums():
 
 
 def test_cold_coeff_rows_recursion_depth_is_bounded():
-    # A cold row must fill the cache from the bottom instead of recursing
-    # n calls deep: allow only ~20 frames above the caller's depth.
+    # psi_rows must step up from the bottom instead of recursing n calls
+    # deep: allow only ~20 frames above the caller's depth.
     depth = 0
     frame = sys._getframe()
     while frame is not None:
         depth += 1
         frame = frame.f_back
     limit = sys.getrecursionlimit()
-    intertwine._ROWS.clear()
     sys.setrecursionlimit(depth + 20)
     try:
-        t, b = psi_coeff(psi_ak1, 60, 60), psi_coeff(psi_ak2, 60, 60)
+        t, b = (next(islice(psi_rows(kind), 60, None))[60] for kind in ("ak1", "ak2"))
     finally:
         sys.setrecursionlimit(limit)
     assert t == b == math.factorial(60)
 
 
-def test_cold_rows_cache_only_the_requested_rows():
-    # A cold row steps up from the highest cached row below it and keeps
-    # only the rows asked for; any request order gives the same rows.
-    intertwine._ROWS.clear()
-    kinds = ("ak1", "ak2")
-    ascending = {kind: [intertwine.psi_row(kind, n) for n in range(121)] for kind in kinds}
-    intertwine._ROWS.clear()
-    for kind in kinds:
-        for n in (120, 40, 80, 100, 7):
-            assert intertwine.psi_row(kind, n) == ascending[kind][n]
-        assert sorted(intertwine._ROWS[kind]) == [0, 7, 40, 80, 100, 120]
-
-
 def test_cold_row_memory_is_one_row_deep():
     # Row 500 of ak2 is about 0.25 MB (0.53 MB peak to build); caching rows
     # 1..500 on the way peaked at 42 MB.
-    intertwine._ROWS.clear()
     tracemalloc.start()
     try:
-        intertwine.psi_row("ak2", 500)
+        next(islice(psi_rows("ak2"), 500, None))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        intertwine._ROWS.clear()
     assert peak < 4_000_000
 
 
@@ -129,7 +113,7 @@ def test_psi_ak2_table():
 
 
 def test_intertwining_property():
-    for psi, D in ((psi_ak1, kravchuk1), (psi_ak2, kravchuk2)):
+    for psi, D in (("ak1", kravchuk1), ("ak2", kravchuk2)):
         for n in range(21):
             xn = Polynomial.var(xvar(n))
             lhs = apply(D, apply_psi(psi, xn))
@@ -142,14 +126,14 @@ def test_intertwining_property():
 def test_intertwining_property_on_random_polynomials(p):
     # D_Kj o psi_AKj = psi_AKj o W on all of Q[x0, x1, ...], not just on
     # the generators: both sides are derivations along the ring map psi.
-    for psi, D in ((psi_ak1, kravchuk1), (psi_ak2, kravchuk2)):
+    for psi, D in (("ak1", kravchuk1), ("ak2", kravchuk2)):
         assert apply(D, apply_psi(psi, p)) == apply_psi(psi, apply(weitzenbock, p))
 
 
 def test_apply_psi_range_check():
     for p in (Polynomial.var(X), x0 + Polynomial.var(A)):
         with pytest.raises(ValueError):
-            apply_psi(psi_ak1, p)
+            apply_psi("ak1", p)
 
 
 def test_kernel_transport():
@@ -161,5 +145,5 @@ def test_kernel_transport():
     ]
     for p in kernel_elems:
         assert is_in_kernel(weitzenbock, p)
-        assert is_in_kernel(kravchuk1, apply_psi(psi_ak1, p))
-        assert is_in_kernel(kravchuk2, apply_psi(psi_ak2, p))
+        assert is_in_kernel(kravchuk1, apply_psi("ak1", p))
+        assert is_in_kernel(kravchuk2, apply_psi("ak2", p))

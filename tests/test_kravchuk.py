@@ -1,12 +1,21 @@
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from math import factorial, gcd
 
 import pytest
 
+from kravchuk_identities import identities
 from kravchuk_identities import kravchuk as kravchuk_module
-from kravchuk_identities.kravchuk import dKda_expansion, dKdx_expansion, kravchuk, on_slice
+from kravchuk_identities.kravchuk import (
+    dKda_expansion,
+    dKdx_expansion,
+    kravchuk,
+    rows,
+    slice_numerators,
+    slice_polynomial,
+)
 from kravchuk_identities.poly import (
     A,
     EXPONENT_LIMIT,
@@ -88,24 +97,31 @@ def test_canonical_form():
 def test_exponent_limit(monkeypatch):
     # x^n is a term of K_n, so n = EXPONENT_LIMIT is refused before any row
     # is built.
-    def no_rows(n):
-        raise AssertionError(f"_rows({n}) called")
+    def no_rows():
+        raise AssertionError("rows() called")
 
-    monkeypatch.setattr(kravchuk_module, "_rows", no_rows)
+    monkeypatch.setattr(kravchuk_module, "rows", no_rows)
     with pytest.raises(ExponentOverflow):
         kravchuk(EXPONENT_LIMIT)
 
 
 def test_on_slice_exponent_limit(monkeypatch):
-    # x^n (or a^n) is a term of K_n on the slice, so n = EXPONENT_LIMIT is
-    # refused before any row is stepped.
-    def no_rows(n):
-        raise AssertionError(f"_rows({n}) called")
+    # x^n (or a^n) is a term of K_n on the slice, so a slice sweep (see
+    # conjectures 1-2) to n = EXPONENT_LIMIT is refused before any row is
+    # stepped.
+    def no_rows():
+        raise AssertionError("rows() called")
 
-    monkeypatch.setattr(kravchuk_module, "_rows", no_rows)
-    for var in (X, A):
+    monkeypatch.setattr(identities, "rows", no_rows)
+    for sweep in (identities.conjecture1, identities.conjecture2):
         with pytest.raises(ExponentOverflow):
-            on_slice(EXPONENT_LIMIT, var)
+            sweep(EXPONENT_LIMIT)
+
+
+def on_slice(n: int, var: int) -> Polynomial:
+    """K_n on the slice a = 2x in var, from row n of rows()."""
+    row = next(islice(rows(), n, None))
+    return slice_polynomial(slice_numerators(row), factorial(n) << n, var)
 
 
 def test_on_slice_low_orders():
@@ -114,10 +130,10 @@ def test_on_slice_low_orders():
     assert on_slice(1, X).is_zero and on_slice(1, A).is_zero
     assert on_slice(2, X) == -x
     assert on_slice(2, A) == -a / 2
-    with pytest.raises(ValueError):
-        on_slice(-1, X)
-    with pytest.raises(ValueError):
-        on_slice(2, xvar(1))
+    # a slice sweep starts at n = 2
+    for sweep in (identities.conjecture1, identities.conjecture2):
+        with pytest.raises(ValueError):
+            sweep(1)
 
 
 def test_substitute_into_kravchuk_makes_one_polynomial(monkeypatch):
@@ -139,17 +155,9 @@ def test_substitute_into_kravchuk_makes_one_polynomial(monkeypatch):
     assert image == sum((i + 1) * kravchuk(i) for i in range(6)) / 7
 
 
-def test_cache_clear_clears_the_rows():
-    kravchuk(5)
-    assert kravchuk_module._top[0] >= 5
-    kravchuk.cache_clear()
-    assert kravchuk.cache_info().currsize == 0
-    assert kravchuk_module._top is None
-
-
 def test_rows_in_any_order():
-    # Requests below the kept pair of rows start again from P_0 and P_1; in
-    # descending, ascending or mixed order every K_n is the same.
+    # Each cold K_n steps rows() up from P_0; in descending, ascending or
+    # mixed order every K_n is the same.
     expected = kravchuk_three_term(30)
     for order in (range(30, -1, -1), range(31), (17, 3, 30, 29, 28, 2, 16, 0, 1, 18)):
         kravchuk.cache_clear()
@@ -159,23 +167,23 @@ def test_rows_in_any_order():
 
 
 def test_cold_k200_holds_one_pair_of_rows():
-    # Only the top pair of rows stays after a cold K_200: 6.4 MB held in all,
-    # K_200 included, where keeping every row below it held 142 MB.
-    kravchuk.cache_clear()
+    # A rows() generator stepped to P_200 holds only its last pair of rows:
+    # with K_200 packed from row 200, 6.4 MB held in all, where keeping
+    # every row below it held 142 MB.
     tracemalloc.start()
     try:
-        k = kravchuk(200)
+        steps = rows()
+        k = Polynomial.from_xa_rows(next(islice(steps, 200, None)), factorial(200))
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-        kravchuk.cache_clear()
     assert coeff(k, ((X, 200),)) == Fraction(2**200, factorial(200))
     assert held < 20 * 2**20, held
 
 
 def test_cold_build_recursion_depth_is_bounded():
-    # A cold K_n must fill its caches from the bottom instead of recursing
-    # n calls deep: allow only ~20 frames above the caller's depth.
+    # rows() must step up from the bottom instead of recursing n calls
+    # deep: allow only ~20 frames above the caller's depth.
     depth = 0
     frame = sys._getframe()
     while frame is not None:
@@ -183,11 +191,9 @@ def test_cold_build_recursion_depth_is_bounded():
         frame = frame.f_back
     limit = sys.getrecursionlimit()
     for n in (40, 200):
-        kravchuk.cache_clear()
         sys.setrecursionlimit(depth + 20)
         try:
-            k = kravchuk(n)
+            k = Polynomial.from_xa_rows(next(islice(rows(), n, None)), factorial(n))
         finally:
             sys.setrecursionlimit(limit)
-            kravchuk.cache_clear()
         assert coeff(k, ((X, n),)) == Fraction(2**n, factorial(n))
