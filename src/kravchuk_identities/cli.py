@@ -12,8 +12,11 @@ Grammar:
 A rational literal is one base, so 3/4^2 is 9/16, and unary '-' is a
 base, so -x1^2 is -(x1^2) and -x1^2^2 is (-x1^2)^2.  Implicit
 multiplication is not allowed, and '(' and unary '-' nest at most
-MAX_NESTING deep. Exit codes: 0 all verified, 1 any refuted, 2 usage,
-parse or output error.
+MAX_NESTING deep.  A plain sum (terms of literal and variable factors,
+with a lone '+' or '-' between whitespace before each term but the first)
+is read term by term, without tokens; any other text goes to the
+recursive-descent parser, which alone reports errors.  Exit codes: 0 all
+verified, 1 any refuted, 2 usage, parse or output error.
 """
 
 import os
@@ -42,9 +45,16 @@ class ParseError(ValueError):
 # operator, after the whitespace before it; its first character is its kind.
 _TOKEN = re.compile(r"\s*([0-9]+|x[0-9]*|a|[-+*^/()])")
 _OK = frozenset("0123456789xa+-*^/()")
-# Variable token -> (packed key, 1, 1).  Slots are append-only, so a cached
-# key stays valid for the life of the process.
-_VARS = {name: (poly.var_key(code), 1, 1) for name, code in (("x", X), ("a", A))}
+_SIGNS = frozenset("+-")
+# Factor text ("x7^2", "x7", "x", "a", "3/4", "5") -> (packed key,
+# numerator, denominator), filled by the plain-sum reader; the descent parser
+# reads variable tokens alone from it.  Slots are append-only, so a cached key
+# stays valid for the life of the process.  Literal texts are unbounded, so
+# past _CACHE_LIMIT entries the cache starts again from x and a; a generator
+# read again keeps its slot.
+_ARGUMENTS = {name: (poly.var_key(code), 1, 1) for name, code in (("x", X), ("a", A))}
+_VARS = dict(_ARGUMENTS)
+_CACHE_LIMIT = 1 << 16
 
 
 class _Parser:
@@ -144,8 +154,7 @@ class _Parser:
         tokens = self.tokens
         i = self.index
         token = tokens[i]
-        atom = _VARS.get(token)
-        if atom is None and token.isdigit():
+        if token.isdigit():
             numerator = int(token) if len(token) <= poly.DIGIT_LIMIT else self._int(token, i)
             if tokens[i + 1] != "/":
                 self.index = i + 1
@@ -158,6 +167,7 @@ class _Parser:
                 raise self._error("zero denominator", i)
             self.index = i + 1
             return 0, numerator, denominator
+        atom = _VARS.get(token)
         if atom is None:
             if token[:1] != "x":  # "x" and "a" are in _VARS
                 return None
@@ -203,8 +213,92 @@ class _Parser:
         return p
 
 
+def _digits(text: str) -> bool:
+    return text.isdigit() and text.isascii() and len(text) <= poly.DIGIT_LIMIT
+
+
+def _cache_factors(terms) -> bool:
+    """Caches the triple of every factor text of terms that is not cached
+    yet, and registers the new generators among them highest index first, as
+    _Parser does; False, with nothing cached or registered, if one of those
+    texts is not a plain factor: a literal or a variable, then optionally
+    '^' and an exponent, within the grammar's limits, with an index of at
+    most nine digits (a longer one is left to _Parser, which registers it at
+    its own token)."""
+    if len(_VARS) > _CACHE_LIMIT:
+        _VARS.clear()
+        _VARS.update(_ARGUMENTS)
+    texts = set(" ".join(terms).replace("*", " ").split(" "))
+    texts.difference_update(_VARS)
+    powers, literals = [], {}
+    for text in texts:
+        base, caret, exp = text.partition("^")
+        e = 1
+        if caret:
+            if not _digits(exp) or len(exp) > 4 or int(exp) > MAX_EXPONENT:
+                return False
+            e = int(exp)
+        if base in _ARGUMENTS:
+            powers.append((A if base == "a" else X, text, e))
+        elif base[:1] == "x":
+            if not _digits(base[1:]) or len(base) > 10:
+                return False
+            powers.append((int(base[1:]), text, e))
+        else:
+            num, slash, den = base.partition("/")
+            if not _digits(num) or slash and not (_digits(den) and int(den)):
+                return False
+            literals[text] = (0, int(num) ** e, int(den) ** e if slash else 1)
+    for code, text, e in sorted(powers, reverse=True):
+        _VARS[text] = (poly.var_key(code) * e, 1, 1)
+    _VARS.update(literals)
+    return True
+
+
+def _plain_terms(text: str):
+    """The (packed key, numerator, denominator) triple of every term of a
+    plain sum, without tokens: text split on whitespace into terms with a
+    lone '+' or '-' between each two, the first term maybe prefixed by a
+    unary '-', and each term plain factors joined by '*' (see
+    _cache_factors).  None, having raised nothing, for any other text, and
+    for a term whose exponents reach poly.EXPONENT_LIMIT, so that _Parser
+    reports every error."""
+    pieces = text.split()
+    signs = pieces[1::2]
+    if not len(pieces) % 2 or not _SIGNS.issuperset(signs):
+        return None
+    terms = pieces[::2]
+    signs.insert(0, "+")
+    if terms[0][:1] == "-":
+        signs[0], terms[0] = "-", terms[0][1:]
+    cache = _VARS
+    guard = poly.GUARD
+    triples = []
+    for i, (sign, term) in enumerate(zip(signs, terms)):
+        key, num, den = 0, -1 if sign == "-" else 1, 1
+        for f in term.split("*"):
+            try:
+                k, n, d = cache[f]
+            except KeyError:
+                if not _cache_factors(terms[i:]):
+                    return None
+                guard = poly.GUARD
+                k, n, d = cache[f]
+            key += k
+            num *= n
+            den *= d
+            # Tested after each factor, before a field can carry over.
+            if key & guard:
+                return None
+        triples.append((key, num, den))
+    return triples
+
+
 def parse_expr(text: str) -> Polynomial:
-    return _Parser(text).parse()
+    """The polynomial that text denotes (see the module docstring); raises
+    ParseError or poly.ExponentOverflow."""
+    terms = _plain_terms(text)
+    return _Parser(text).parse() if terms is None else Polynomial.sum(terms)
 
 
 def render(p: Polynomial, fmt: str = "text") -> str:

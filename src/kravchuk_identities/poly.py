@@ -535,10 +535,11 @@ def _sorted_terms(p: Polynomial, fmt: tuple) -> list:
     With fmt = (names, name, open_, close), a monomial is its list of
     fragments in code order: names[slot] for an exponent of 1 and
     names[slot] + open_ + str(e) + close for an exponent e > 1, where names
-    caches name(code) by slot.  Each coefficient is in lowest terms, the
-    sign on its numerator, as it is printed; one with a numerator or
-    denominator past DIGIT_LIMIT digits raises DigitOverflow before any
-    text is built.
+    caches name(code) by slot; with an empty open_, name(code) is a
+    (name, 1) pair and the fragment of e > 1 is (name, e).  Each
+    coefficient is in lowest terms, the sign on its numerator, as it is
+    printed; one with a numerator or denominator past DIGIT_LIMIT digits
+    raises DigitOverflow before any text is built.
 
     One decode of the OR of p's keys checks whether p's slots descend as
     its codes ascend, so that its keys compare as its exponent vectors do,
@@ -588,7 +589,8 @@ def _sorted_terms(p: Polynomial, fmt: tuple) -> list:
                 m >>= skip * FIELD_BITS
                 slot += skip
                 e = m & _FIELD_MASK
-                fragments.append(names[slot] if e == 1 else f"{names[slot]}{open_}{e}{close}")
+                fragments.append(names[slot] if e == 1 else f"{names[slot]}{open_}{e}{close}"
+                                 if open_ else (names[slot][0], e))
                 m >>= FIELD_BITS
                 slot += 1
             fragments.reverse()
@@ -611,7 +613,8 @@ def _sorted_terms(p: Polynomial, fmt: tuple) -> list:
             m >>= skip * FIELD_BITS
             slot += skip
             e = m & _FIELD_MASK
-            pairs.append((shift[slot], names[slot] if e == 1 else f"{names[slot]}{open_}{e}{close}"))
+            pairs.append((shift[slot], names[slot] if e == 1 else f"{names[slot]}{open_}{e}{close}"
+                          if open_ else (names[slot][0], e)))
             key += e << shift[slot]
             degree += e
             m >>= FIELD_BITS
@@ -661,15 +664,10 @@ def render_latex(p: Polynomial) -> str:
 
 def to_json_terms(p: Polynomial) -> list:
     """Stable JSON term list: [{"coeff": "p/q", "monomial": {...}}], each
-    monomial read back off its text fragments."""
-    rows = []
-    for fragments, c, d in _sorted_terms(p, _TEXT):
-        monomial = {}
-        for f in fragments:
-            v, _, e = f.partition("^")
-            monomial[v] = int(e) if e else 1
-        rows.append({"coeff": _coeff_text(c, d), "monomial": monomial})
-    return rows
+    monomial built from the (name, exponent) pairs of its decode."""
+    fmt = ([], lambda code: (var_name(code), 1), "", "")
+    return [{"coeff": _coeff_text(c, d), "monomial": dict(pairs)}
+            for pairs, c, d in _sorted_terms(p, fmt)]
 
 
 # -- binomial polynomials ----------------------------------------------
