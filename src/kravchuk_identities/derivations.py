@@ -23,7 +23,7 @@ from .poly import (
 
 # The most terms a D_K1 or D_K2 image may have, checked before any is built:
 # a packed key spends 16 bits on every slot up to its variable, so
-# D_K2(x10000), with 10,000 terms over lcm(1..10000), already peaks near 280 MB.
+# D_K2(x10000), with 10,000 terms over lcm(1..10000), already peaks near 260 MB.
 IMAGE_TERM_LIMIT = 10_000
 
 

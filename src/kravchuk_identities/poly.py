@@ -16,10 +16,12 @@ takes slot 0 and x slot 1 at import, and the parser and Polynomial.linear
 register the new generators of an input highest index first.  Rendering
 relies on this only through a check made once per polynomial (see
 _sorted_terms): when its variables' slots descend as their codes ascend,
-its keys sort in canonical order themselves.  The top bit of each field is
-a guard bit that every stored exponent leaves clear, so the product of two
-monomials is the sum of their keys, with no carry between fields, and an
-exponent that reaches EXPONENT_LIMIT raises ExponentOverflow.
+its keys compare as its exponent vectors do, and a key walked top-down,
+highest field first, gives its variables in code order.  The top bit of
+each field is a guard bit that every stored exponent leaves clear, so the
+product of two monomials is the sum of their keys, with no carry between
+fields, and an exponent that reaches EXPONENT_LIMIT raises
+ExponentOverflow.
 
 A polynomial is stored as {packed monomial: nonzero int numerator} over one
 positive int denominator, with gcd(denominator, *numerators) == 1 and
@@ -39,7 +41,7 @@ import sys
 from bisect import insort
 from functools import reduce
 from math import factorial, gcd, lcm, prod
-from operator import or_
+from operator import itemgetter, or_
 
 # Codes for the Kravchuk arguments; every generator index lies below X.
 X = 10**9
@@ -450,21 +452,49 @@ class Polynomial:
         Polynomial images; a variable with no image is a constant of the
         derivation, and the image of one that self does not use adds nothing.
 
-        Every image is scaled once to the lcm of their denominators; then
-        for each v, the terms of d(self)/dv, c e at x^(m - e_v) for each term
-        c x^m of self with exponent e of v, are multiplied by images[v] into
-        one dict through _mul_into, which checks the exponent guard, with no
-        Polynomial per derivative or per product."""
+        Every image is scaled once to the lcm of their denominators, on its
+        own keys, and filed under the bit offset of v's field.  One pass then
+        walks each term c x^m of self top-down, field by field, and for each
+        exponent e of a v with an image adds c e c2 at (m - e_v) + m2, for
+        each image term c2 x^m2, straight into one dict: one pass over self
+        whatever the number of images, and no Polynomial per derivative or
+        per product.  A field of an OR bounds that exponent in every key, so
+        only a set guard bit in the sum of the OR of self's keys and the OR
+        of the images' keys sends the product keys through the check; the
+        first with a guard bit raises ExponentOverflow."""
         images = [(v, q) for v, q in images.items() if q._terms and v in _SLOTS]
         den = lcm(*(q._den for _, q in images))
-        total: dict = {}
+        offsets = {}  # bit offset of v's field -> items of v's scaled image
+        bound = 0  # the OR of every image key
         for v, q in images:
-            shift = _SLOTS[v] * FIELD_BITS
-            unit = 1 << shift
-            rows = {m - unit: c * e for m, c in self._terms.items()
-                    if (e := (m >> shift) & _FIELD_MASK)}
             scale = den // q._den
-            _mul_into(total, rows, {m2: c2 * scale for m2, c2 in q._terms.items()})
+            image = q._terms if scale == 1 else {m2: c2 * scale for m2, c2 in q._terms.items()}
+            offsets[_SLOTS[v] * FIELD_BITS] = image.items()
+            bound = reduce(or_, q._terms, bound)
+        guard = GUARD
+        check = (reduce(or_, self._terms, 0) + bound) & guard
+        total: dict = {}
+        get = total.get
+        for m, c in self._terms.items():
+            rest = m
+            while rest:
+                low = rest.bit_length() - 1
+                low -= low % FIELD_BITS
+                e = rest >> low
+                rest -= e << low
+                image = offsets.get(low)
+                if image is None:
+                    continue
+                base, ce = m - (1 << low), c * e
+                for m2, c2 in image:
+                    key = base + m2
+                    if check and key & guard:
+                        raise ExponentOverflow()
+                    s = get(key, 0) + ce * c2
+                    if s:
+                        total[key] = s
+                    else:
+                        del total[key]
         return Polynomial._make(total, den * self._den)
 
     def __repr__(self):
@@ -529,27 +559,28 @@ def _latex_name(code: int) -> str:
 
 
 def _sorted_terms(p: Polynomial, fmt: tuple) -> list:
-    """(monomial, numerator, denominator) rows of p in canonical order:
-    degree descending, then ascending lexicographic comparison of the
+    """(order, monomial, numerator, denominator) rows of p in canonical
+    order: degree descending, then ascending lexicographic comparison of the
     exponent vector over p's variables in the order x0 < x1 < ... < x < a.
-    With fmt = (names, name, open_, close), a monomial is its list of
-    fragments in code order: names[slot] for an exponent of 1 and
-    names[slot] + open_ + str(e) + close for an exponent e > 1, where names
-    caches name(code) by slot; with an empty open_, name(code) is a
-    (name, 1) pair and the fragment of e > 1 is (name, e).  Each
-    coefficient is in lowest terms, the sign on its numerator, as it is
-    printed; one with a numerator or denominator past DIGIT_LIMIT digits
-    raises DigitOverflow before any text is built.
+    The first item is what the rows were sorted by.  With fmt = (names,
+    name, open_, close), a monomial is its list of fragments in code order:
+    names[slot] for an exponent of 1 and names[slot] + open_ + str(e) +
+    close for an exponent e > 1, where names caches name(code) by slot; with
+    an empty open_, name(code) is a (name, 1) pair and the fragment of e > 1
+    is (name, e).  Each coefficient is in lowest terms, the sign on its
+    numerator, as it is printed; one with a numerator or denominator past
+    DIGIT_LIMIT digits raises DigitOverflow before any text is built.
 
     One decode of the OR of p's keys checks whether p's slots descend as
-    its codes ascend, so that its keys compare as its exponent vectors do,
-    and whether the sum of the OR's fields, which bounds every degree, is
-    below 0xFFFF, so that a key's degree is key % 0xFFFF (2^16 is 1 modulo
-    0xFFFF).  If both hold, the keys sort by (-degree, key), and each is
-    decoded once, lowest field first, into fragments that are then
-    reversed.  Any other p sorts by a second key built in the same decode:
-    the exponents re-packed with p's variables in code order, the first
-    most significant, below the negated degree."""
+    its codes ascend, so that its keys compare as its exponent vectors do.
+    If they do, the terms are taken in key order, and each key is walked
+    once, top-down, highest field first, which yields its fragments in code
+    order and its degree; a stable sort by degree, descending, then gives
+    the canonical order.  The fragment of an exponent above 1 is built once
+    per call, kept in a table keyed by its isolated field e << low.  Any
+    other p sorts by a second key built in a decode lowest field first: the
+    exponents re-packed with p's variables in code order, the first most
+    significant, below the negated degree."""
     names, name, open_, close = fmt
     if len(names) < len(_CODES):
         names.extend(map(name, _CODES[len(names):]))
@@ -559,7 +590,7 @@ def _sorted_terms(p: Polynomial, fmt: tuple) -> list:
     m = reduce(or_, terms, 0)
     fields = []  # (code, slot) of p's variables, lowest slot first
     ordered = True
-    bound = slot = 0
+    slot = 0
     code = A + 1  # above every code
     while m:
         skip = ((m & -m).bit_length() - 1) // FIELD_BITS
@@ -568,33 +599,38 @@ def _sorted_terms(p: Polynomial, fmt: tuple) -> list:
         ordered = ordered and _CODES[slot] < code
         code = _CODES[slot]
         fields.append((code, slot))
-        bound += m & _FIELD_MASK
         m >>= FIELD_BITS
         slot += 1
     rows = []
-    if ordered and bound < _FIELD_MASK:
-        keys = sorted(terms)
-        keys.sort(key=_FIELD_MASK.__rmod__, reverse=True)  # stable: degree descending
-        for m in keys:
-            c, d = terms[m], den
+    if ordered:
+        powers = {}  # isolated field e << low, e > 1 -> its fragment
+        # Sorted as items: looking a key up again would hash all of it.
+        for m, c in sorted(terms.items(), key=itemgetter(0)):
+            d = den
             if d != 1:
                 g = gcd(c, d)
                 c, d = c // g, d // g
             if check and (_too_long(c) or _too_long(d)):
                 raise DigitOverflow()
             fragments = []
-            slot = 0
+            degree = 0
             while m:
-                skip = ((m & -m).bit_length() - 1) // FIELD_BITS
-                m >>= skip * FIELD_BITS
-                slot += skip
-                e = m & _FIELD_MASK
-                fragments.append(names[slot] if e == 1 else f"{names[slot]}{open_}{e}{close}"
-                                 if open_ else (names[slot][0], e))
-                m >>= FIELD_BITS
-                slot += 1
-            fragments.reverse()
-            rows.append((fragments, c, d))
+                low = m.bit_length() - 1
+                low -= low % FIELD_BITS
+                e = m >> low
+                field = e << low
+                m -= field
+                degree += e
+                if e == 1:
+                    fragments.append(names[low // FIELD_BITS])
+                    continue
+                fragment = powers.get(field)
+                if fragment is None:
+                    name = names[low // FIELD_BITS]
+                    fragment = powers[field] = f"{name}{open_}{e}{close}" if open_ else (name[0], e)
+                fragments.append(fragment)
+            rows.append((degree, fragments, c, d))
+        rows.sort(key=itemgetter(0), reverse=True)  # stable: degree descending
         return rows
     fields.sort()
     width = FIELD_BITS * len(fields)
@@ -622,7 +658,7 @@ def _sorted_terms(p: Polynomial, fmt: tuple) -> list:
         pairs.sort(reverse=True)
         rows.append(((-degree << width) + key, [f for _, f in pairs], c, d))
     rows.sort()
-    return [row[1:] for row in rows]
+    return rows
 
 
 def _coeff_text(num: int, den: int, frac: str = "{}/{}") -> str:
@@ -638,7 +674,7 @@ def _render(p: Polynomial, fmt: tuple, sep: str, frac: str, glue: str) -> str:
     if p.is_zero:
         return "0"
     parts = []
-    for fragments, c, d in _sorted_terms(p, fmt):
+    for _, fragments, c, d in _sorted_terms(p, fmt):
         mono = sep.join(fragments)
         sign = " - " if c < 0 else " + "
         if mono and d == 1 and abs(c) == 1:
@@ -667,7 +703,7 @@ def to_json_terms(p: Polynomial) -> list:
     monomial built from the (name, exponent) pairs of its decode."""
     fmt = ([], lambda code: (var_name(code), 1), "", "")
     return [{"coeff": _coeff_text(c, d), "monomial": dict(pairs)}
-            for pairs, c, d in _sorted_terms(p, fmt)]
+            for _, pairs, c, d in _sorted_terms(p, fmt)]
 
 
 # -- binomial polynomials ----------------------------------------------

@@ -177,6 +177,45 @@ def substitute_by_products(p: Polynomial, bindings: dict) -> Polynomial:
     return Polynomial.sum(reduce(mul, (powers[key] for key in m), c) for m, c in terms(p))
 
 
+def render_terms(p: Polynomial, fmt: str):
+    """p as render_text ("text"), render_latex ("latex") or to_json_terms
+    ("json") writes it, from the Fractions of terms(p) sorted into the
+    canonical order: degree descending, then the exponent vectors over p's
+    variables, in the order x0 < x1 < ... < x < a, ascending."""
+    rows = list(terms(p))
+    codes = sorted({v for mono, _ in rows for v, _ in mono})
+
+    def order(row):
+        exps = dict(row[0])
+        return -mono_deg(row[0]), [exps.get(v, 0) for v in codes]
+
+    rows.sort(key=order)
+    name = {X: "x", A: "a"}.get
+    if fmt == "json":
+        return [{"coeff": str(c), "monomial": {name(v, f"x{v}"): e for v, e in mono}}
+                for mono, c in rows]
+    if not rows:
+        return "0"
+    latex = fmt == "latex"
+    out = []
+    for mono, c in rows:
+        fragments = []
+        for v, e in mono:
+            var = name(v, f"x_{{{v}}}" if latex else f"x{v}")
+            fragments.append(var if e == 1 else f"{var}^{{{e}}}" if latex else f"{var}^{e}")
+        monomial = ("" if latex else "*").join(fragments)
+        n, d = abs(c.numerator), c.denominator
+        coefficient = str(n) if d == 1 else f"\\frac{{{n}}}{{{d}}}" if latex else f"{n}/{d}"
+        if not monomial:
+            text = coefficient
+        elif n == d == 1:
+            text = monomial
+        else:
+            text = coefficient + ("\\," if latex else "*") + monomial
+        out.append(("-" if c < 0 else "") + text if not out else (" - " if c < 0 else " + ") + text)
+    return "".join(out)
+
+
 def kravchuk_three_term(n: int) -> list:
     """[K_0, ..., K_n] from the three-term recurrence on Polynomials,
     (m+1) K_{m+1} = (a - 2x) K_m - (a - m + 1) K_{m-1},  K_0 = 1, K_1 = a - 2x."""

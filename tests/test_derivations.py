@@ -21,7 +21,8 @@ from kravchuk_identities.derivations import (
     kravchuk2,
     weitzenbock,
 )
-from kravchuk_identities.poly import A, X, Polynomial, xvar
+from kravchuk_identities import poly
+from kravchuk_identities.poly import EXPONENT_LIMIT, A, X, ExponentOverflow, Polynomial, xvar
 
 from conftest import polynomials
 from oracles import (
@@ -104,6 +105,26 @@ def test_apply_matches_product_oracle():
 def test_apply_matches_leibniz_oracle(p):
     for D in (weitzenbock, kravchuk1, kravchuk2):
         assert apply(D, p) == apply_leibniz(D, p)
+
+
+def test_apply_at_the_exponent_limit_matches_leibniz_oracle():
+    top = x0 ** (EXPONENT_LIMIT - 1)
+    # x0's field sums to EXPONENT_LIMIT over the OR of the input and that of
+    # W(x1) = x0, so the guard check runs, but x0^32767 has no image under
+    # W and no product reaches the limit.
+    assert apply(weitzenbock, top + x1) == apply_leibniz(weitzenbock, top + x1) == x0
+    # One product, x0^32767 * W(x1), does, also when the image of x2 comes
+    # after that of x1.
+    for p in (top * x1, top * x1 + x2):
+        for route in (apply, apply_leibniz):
+            with pytest.raises(ExponentOverflow):
+                route(weitzenbock, p)
+    # A code never registered has no field in any key: the derivative is 0,
+    # and taking it registers nothing.
+    code = xvar(987654321)
+    assert code not in poly._SLOTS
+    assert (top + x1).diff(code) == Polynomial.zero()
+    assert code not in poly._SLOTS
 
 
 def test_power_apply():

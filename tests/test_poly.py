@@ -676,8 +676,8 @@ for text in sys.argv[2:]:
 
 # Slots of x2, x5 and x7 that descend as their codes ascend (the order a
 # parse gives them), that ascend, and two that interleave; x and a hold the
-# slots below them.  Rendering sorts the first by the packed keys themselves
-# and the others by re-packed keys, unless a degree bound reaches 0xFFFF.
+# slots below them.  Rendering takes the first in packed-key order, at any
+# degree, and sorts the others by re-packed keys.
 _SLOT_ORDERS = ("7,5,2", "2,5,7", "5,2,7", "2,7,5")
 
 # input -> its text, LaTeX and JSON lines.
@@ -734,6 +734,56 @@ def test_render_does_not_depend_on_slot_order():
     for k, (text, expected) in enumerate(_RENDERED.items()):
         for order, lines in zip(_SLOT_ORDERS, outputs):
             assert lines[3 * k : 3 * k + 3] == expected, (text, order)
+
+
+# Runs in a fresh interpreter, so that x0..x300 take the slots after a and
+# x in the order given on the command line: descending as the codes ascend,
+# as a parse registers them, or ascending.  Keys reach 4,800 bits, and
+# x0, in the top field under the first order, and x300, under the second,
+# come with exponents of 1 and above.
+_RENDER_ORACLE = """
+import json, sys
+from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
+from kravchuk_identities import poly
+from kravchuk_identities.poly import EXPONENT_LIMIT, A, X, Polynomial, render_latex, render_text, to_json_terms, xvar
+from conftest import small_fractions
+from oracles import from_terms, render_terms
+order = list(range(301))
+if sys.argv[1] == "descending":
+    order.reverse()
+for i in order:
+    Polynomial.var(xvar(i))
+assert poly._CODES == [A, X, *order], poly._CODES
+codes = st.one_of(st.sampled_from([0, 300, X, A]), st.integers(0, 300))
+top = EXPONENT_LIMIT - 1
+exponents = st.one_of(st.just(1), st.integers(2, top))
+monomials = st.dictionaries(codes, exponents, max_size=4).map(lambda m: tuple(sorted(m.items())))
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.dictionaries(monomials, small_fractions, max_size=8))
+@example({((0, 1), (300, top)): Fraction(1, 2), ((0, 2), (X, 1)): -1, ((300, 1),): 3, (): Fraction(-7, 3)})
+@example({((0, top), (300, 1), (A, 5)): 2, ((0, 1), (300, 7)): -1})
+def check(terms):
+    p = from_terms(terms)
+    assert render_text(p) == render_terms(p, "text")
+    assert render_latex(p) == render_terms(p, "latex")
+    assert json.dumps(to_json_terms(p)) == json.dumps(render_terms(p, "json"))
+
+check()
+"""
+
+
+@pytest.mark.parametrize("order", ["descending", "ascending"])
+def test_render_matches_oracle(order):
+    proc = subprocess.run(
+        [sys.executable, "-c", _RENDER_ORACLE, order],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=300,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # Runs in a fresh interpreter: a parse registers the new generators of its
